@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .model import Profile
@@ -154,13 +155,29 @@ class ComponentReport:
 @dataclass(frozen=True)
 class AnalysisReport:
     delta: int
-    per_voter_vertex_cover: tuple  # int, or None when it exceeds VC_REPORT_CAP
     all_binary: bool
     group_dichotomous: bool
     dichotomy_witness: Optional[DichotomyWitness]
     component_count: int
     heuristic_width: Optional[int]  # None when some component exceeds the threshold
     components: tuple
+    profile: Profile = field(compare=False, repr=False)
+
+    @cached_property
+    def per_voter_vertex_cover(self) -> tuple:
+        """Each voter's vertex cover number, or None when it exceeds VC_REPORT_CAP.
+
+        Routing never reads these, so they are computed on first read only.
+        """
+        covers = []
+        for i in range(self.profile.n):
+            voter_graph = build_voter_graph(self.profile, i)
+            undirected = UndirectedGraph(
+                self.profile.m,
+                frozenset((min(u, v), max(u, v)) for u, v in voter_graph.edges),
+            )
+            covers.append(vertex_cover_number(undirected, VC_REPORT_CAP))
+        return tuple(covers)
 
     @property
     def recommendation(self) -> str:
@@ -586,22 +603,29 @@ def classify(
 
     Widths come from a width-capped min-fill probe, so classification stays
     fast on components whose width is far beyond the threshold; a None width
-    means "exceeds width_threshold".
+    means "exceeds width_threshold".  The report's per-voter vertex covers
+    are left to its first read, so routing never pays for them.
     """
     graph = build_global_graph(profile)
     dom = profile.domain_sizes()
-    gd_all, witness = is_group_dichotomous(profile)
 
-    # One pass over all ballots; component checks then only touch their issues.
+    # One pass over all ballots; component checks then only touch their
+    # issues.  The first failing ballot in voter order is the whole-profile
+    # witness, exactly what is_group_dichotomous(profile) returns: before it
+    # every issue is still marked ok, so every conditional ballot is checked.
     delta_by_issue = [0] * profile.m
     gd_ok_by_issue = [True] * profile.m
+    witness = None
     for i, voter in enumerate(profile.voters):
         for j, ballot in voter.ballots.items():
             if len(ballot.scope) > delta_by_issue[j]:
                 delta_by_issue[j] = len(ballot.scope)
             if ballot.scope and gd_ok_by_issue[j]:
-                if _ballot_dichotomy_witness(i, ballot, dom) is not None:
+                found = _ballot_dichotomy_witness(i, ballot, dom)
+                if found is not None:
                     gd_ok_by_issue[j] = False
+                    if witness is None:
+                        witness = found
 
     edges_by_issue = [[] for _ in range(profile.m)]
     for e in graph.edges:
@@ -630,26 +654,18 @@ def classify(
             ComponentReport(issues_t, route, binary, gd, delta, width, space)
         )
 
-    per_voter_vc = []
-    for i in range(profile.n):
-        voter_graph = build_voter_graph(profile, i)
-        undirected = UndirectedGraph(
-            profile.m, frozenset((min(u, v), max(u, v)) for u, v in voter_graph.edges)
-        )
-        per_voter_vc.append(vertex_cover_number(undirected, VC_REPORT_CAP))
-
     widths = [c.heuristic_width for c in comps]
     whole_width = None if any(w is None for w in widths) else max(widths, default=0)
 
     return AnalysisReport(
-        delta=max_in_degree(profile),
-        per_voter_vertex_cover=tuple(per_voter_vc),
+        delta=max(delta_by_issue, default=0),
         all_binary=all(d == 2 for d in dom),
-        group_dichotomous=gd_all,
+        group_dichotomous=witness is None,
         dichotomy_witness=witness,
         component_count=len(comps),
         heuristic_width=whole_width,
         components=tuple(comps),
+        profile=profile,
     )
 
 

@@ -6,6 +6,10 @@ by counting approvals, the rest by whichever solver the classification
 recommends or the caller forces) and the partial outcomes are concatenated.
 The merged outcome's cost is recomputed from scratch and checked against the
 per-component sum; any disagreement aborts.
+
+Splitting and majority counting read the profile's per-issue ballot index
+(``Profile.ballots_by_issue``), so they walk only the ballots on a
+component's own issues instead of every voter's ballot map.
 """
 
 from __future__ import annotations
@@ -61,22 +65,24 @@ def restrict_profile(profile: Profile, issues) -> Profile:
 
     Every voter is kept (their ballots outside the subset contribute zero
     dissatisfaction there), so component costs add up to the full cost.
+    Each voter's ballots follow the order of ``issues``.
     """
     issues = list(issues)
     index = {j: t for t, j in enumerate(issues)}
     sub_issues = [
         (profile.issues[j].name, profile.issues[j].alternatives) for j in issues
     ]
-    sub_voters = []
-    for voter in profile.voters:
-        ballots = []
-        for j, ballot in voter.ballots.items():
-            if j not in index:
-                continue
+    sub_ballots = {}
+    for t, j in enumerate(issues):
+        for i, ballot in profile.ballots_by_issue[j]:
             scope = tuple(index[k] for k in ballot.scope)
-            ballots.append(issue_ballot(index[j], scope, ballot.statements))
-        sub_voters.append((voter.name, ballots))
-    return make_profile(sub_issues, sub_voters)
+            sub_ballots.setdefault(i, []).append(
+                issue_ballot(t, scope, ballot.statements)
+            )
+    return make_profile(
+        sub_issues,
+        [(voter.name, sub_ballots.get(i, ())) for i, voter in enumerate(profile.voters)],
+    )
 
 
 def majority_alternative(profile: Profile, issue: int) -> int:
@@ -84,13 +90,13 @@ def majority_alternative(profile: Profile, issue: int) -> int:
 
     Isolated issues only ever carry unconditional ballots, so counting
     approvals minimizes the issue's dissatisfaction contribution exactly.
+    Voters without a ballot on the issue approve every alternative alike, so
+    only the explicit ballots can move the maximum.
     """
     d = len(profile.issues[issue].alternatives)
     counts = [0] * d
-    for voter in profile.voters:
-        ballot = voter.ballots.get(issue)
-        approved = ballot.statements[()] if ballot is not None else range(d)
-        for a in approved:
+    for _, ballot in profile.ballots_by_issue[issue]:
+        for a in ballot.statements[()]:
             counts[a] += 1
     return max(range(d), key=lambda a: (counts[a], -a))
 
@@ -144,9 +150,8 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
             partial = {issue: alt}
             cost = sum(
                 1
-                for voter in profile.voters
-                if voter.ballots.get(issue) is not None
-                and alt not in voter.ballots[issue].statements[()]
+                for _, ballot in profile.ballots_by_issue[issue]
+                if alt not in ballot.statements[()]
             )
             checked = [cost]
         else:

@@ -19,14 +19,21 @@ Representation notes:
   an unconditional approve-everything ballot.  ``make_profile`` canonicalizes
   explicit approve-all entries away so structural equality is meaningful.
 - All types are immutable after construction and every operation is a pure
-  function, so concurrent use needs no locking.
+  function, so concurrent use needs no locking.  ``Profile`` relies on this
+  to cache derived facts on first use: the domain sizes and a per-issue index
+  of the explicit ballots (``ballots_by_issue``), which lets per-issue work
+  such as splitting off a component or counting approvals skip the voters
+  without a ballot there.  Mutating a voter's ballot dict after the index is
+  read leaves the index stale.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 Premise = tuple  # alternative indices, aligned with the ballot's sorted scope
 Outcome = tuple  # one alternative index per issue
@@ -75,7 +82,30 @@ class Profile:
         return len(self.voters)
 
     def domain_sizes(self) -> tuple:
+        return self._domain_sizes
+
+    # Cached values live in the instance dict, which dataclass equality,
+    # hashing and repr ignore.
+    @cached_property
+    def _domain_sizes(self) -> tuple:
         return tuple(len(issue.alternatives) for issue in self.issues)
+
+    @cached_property
+    def ballots_by_issue(self) -> tuple:
+        """Per issue, the (voter index, ballot) pairs of the voters that hold
+        an explicit ballot on it, in voter order.
+
+        Voters absent from an issue's entries approve all of it.  Ballots
+        filed under an issue id outside the profile are left out;
+        ``validate_profile`` reports them.
+        """
+        m = len(self.issues)
+        index = [[] for _ in range(m)]
+        for i, voter in enumerate(self.voters):
+            for j, ballot in voter.ballots.items():
+                if 0 <= j < m:
+                    index[j].append((i, ballot))
+        return tuple(map(tuple, index))
 
     def ballot(self, voter: int, issue: int) -> IssueBallot:
         """The voter's ballot for the issue, materializing the approve-all default."""

@@ -3,15 +3,18 @@
 The oracles here deliberately avoid the code paths they are used to check:
 ``naive_optimum`` enumerates outcomes with itertools against the dict-based
 ballot semantics (never touching the scan kernels), satisfiability checks
-enumerate assignments of the source problems directly, and the vertex cover
-oracle tries every subset.
+enumerate assignments of the source problems directly, the vertex cover
+oracle tries every subset, and the component split and majority count scan
+every voter instead of reading the profile's per-issue ballot index.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
+import cmsvote
 from cmsvote import (
     CnfFormula,
     ColoredGraph,
@@ -38,6 +41,13 @@ approve A 0
 approve B 0
 end
 """
+
+
+def child_env(**overrides):
+    """Environment for a child interpreter that imports the cmsvote under test."""
+    root = os.path.dirname(os.path.dirname(cmsvote.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def build_p1():
@@ -71,6 +81,38 @@ def naive_optimum(profile):
             best_cost = cost
             best_outcome = outcome
     return best_cost, best_outcome
+
+
+def naive_restrict_profile(profile, issues):
+    """Sub-profile over ``issues`` by scanning every voter's ballot map."""
+    issues = list(issues)
+    index = {j: t for t, j in enumerate(issues)}
+    sub_voters = []
+    for voter in profile.voters:
+        ballots = [
+            issue_ballot(index[j], (index[k] for k in ballot.scope), ballot.statements)
+            for j, ballot in voter.ballots.items()
+            if j in index
+        ]
+        sub_voters.append((voter.name, ballots))
+    sub_issues = [
+        (profile.issues[j].name, profile.issues[j].alternatives) for j in issues
+    ]
+    return make_profile(sub_issues, sub_voters)
+
+
+def naive_majority_alternative(profile, issue):
+    """Most-approved alternative of an issue with unconditional ballots only,
+    ties to the lowest index; a missing ballot approves everything."""
+    d = len(profile.issues[issue].alternatives)
+    counts = [0] * d
+    for voter in profile.voters:
+        ballot = voter.ballots.get(issue)
+        for a in range(d):
+            if ballot is None or a in ballot.statements[()]:
+                counts[a] += 1
+    best = max(counts)
+    return counts.index(best)
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, width: int = 3):

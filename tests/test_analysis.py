@@ -22,7 +22,7 @@ from cmsvote import (
     verify_decomposition,
     vertex_cover_number,
 )
-from cmsvote.analysis import TreeDecomposition, UndirectedGraph
+from cmsvote.analysis import VC_REPORT_CAP, TreeDecomposition, UndirectedGraph
 from cmsvote.model import approve, issue_ballot, make_profile
 
 from helpers import build_p1, exhaustive_vertex_cover, random_undirected_graph
@@ -299,6 +299,53 @@ class TestClassify:
         assert ra.component_count == rb.component_count
         assert ra.heuristic_width == rb.heuristic_width
         assert [c.issues for c in ra.components] == [c.issues for c in rb.components]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_pass_witness_and_delta_match_helpers(self, seed):
+        profile = gen_random(
+            12,
+            8,
+            d_max=3,
+            delta_max=3,
+            statement_density=0.3,
+            seed=seed,
+            group_dichotomous=seed % 3 == 0,
+        )
+        report = classify(profile)
+        assert (report.group_dichotomous, report.dichotomy_witness) == (
+            is_group_dichotomous(profile)
+        )
+        assert report.delta == max_in_degree(profile)
+
+    def test_vertex_covers_are_computed_on_first_read(self):
+        # v0 holds 13 disjoint dependency edges: a cover past the report cap
+        m = 26
+        issues = [(f"i{j}", ("0", "1")) for j in range(m)]
+        matching = [issue_ballot(2 * t + 1, (2 * t,), {(0,): {0}}) for t in range(13)]
+        profiles = [
+            build_p1(),
+            gen_grid(3),
+            make_profile(issues, [("v0", matching), ("v1", matching[:2])]),
+        ] + [
+            gen_random(10, 6, delta_max=2, statement_density=0.4, seed=s)
+            for s in range(4)
+        ]
+        for profile in profiles:
+            report = classify(profile)
+            assert "per_voter_vertex_cover" not in vars(report)
+            direct = []
+            for i in range(profile.n):
+                edges = build_voter_graph(profile, i).edges
+                graph = UndirectedGraph(
+                    profile.m, frozenset((min(u, v), max(u, v)) for u, v in edges)
+                )
+                direct.append(vertex_cover_number(graph, VC_REPORT_CAP))
+            assert report.per_voter_vertex_cover == tuple(direct)
+        assert classify(profiles[2]).per_voter_vertex_cover == (None, 2)
+
+    def test_report_equality_ignores_profile_reference(self):
+        assert classify(build_p1()) == classify(build_p1())
+        assert "profile" not in repr(classify(build_p1()))
 
     def test_report_serializations(self):
         report = classify(build_p1())

@@ -1,6 +1,5 @@
 """The numba kernels and the numpy fallbacks must be interchangeable."""
 
-import os
 import random
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import pytest
 from cmsvote import _backend, _dinic, _scan, gen_random
 from cmsvote.mincut import build_network
 
-from helpers import random_constraints
+from helpers import child_env, random_constraints
 
 needs_numba = pytest.mark.skipif(
     not _backend.HAVE_NUMBA, reason="numba unavailable"
@@ -61,7 +60,7 @@ class TestLaneAgreement:
 
 
 def test_env_flag_selects_numpy_lane():
-    env = dict(os.environ, CMS_BACKEND="numpy")
+    env = child_env(CMS_BACKEND="numpy")
     proc = subprocess.run(
         [sys.executable, "-c", "import cmsvote; print(cmsvote.BACKEND)"],
         capture_output=True,
@@ -73,7 +72,7 @@ def test_env_flag_selects_numpy_lane():
 
 
 def test_env_flag_rejects_unknown_value():
-    env = dict(os.environ, CMS_BACKEND="cuda")
+    env = child_env(CMS_BACKEND="cuda")
     proc = subprocess.run(
         [sys.executable, "-c", "import cmsvote"],
         capture_output=True,
@@ -81,10 +80,11 @@ def test_env_flag_rejects_unknown_value():
         env=env,
     )
     assert proc.returncode != 0
+    assert "CMS_BACKEND must be" in proc.stderr
 
 
 def test_numpy_lane_solves_p1_in_subprocess():
-    env = dict(os.environ, CMS_BACKEND="numpy")
+    env = child_env(CMS_BACKEND="numpy")
     code = (
         "from cmsvote import gen_grid, solve_brute, solve_mincut;"
         "p = gen_grid(2);"

@@ -3,12 +3,19 @@ import sys
 
 import pytest
 
-from cmsvote import Intractable, gen_random, solve_profile
+from cmsvote import Intractable, analysis, classify, gen_random, solve_profile
 from cmsvote.cli import main
 from cmsvote.dispatch import SolveConfig, majority_alternative, restrict_profile
 from cmsvote.model import approve, issue_ballot, make_profile, total_dissatisfaction
+from cmsvote.textio import serialize_profile
 
-from helpers import P1_DOC, naive_optimum
+from helpers import (
+    P1_DOC,
+    child_env,
+    naive_majority_alternative,
+    naive_optimum,
+    naive_restrict_profile,
+)
 
 
 def multi_component_profile():
@@ -33,6 +40,15 @@ def multi_component_profile():
         ("v3", [approve(2, {0}), approve(3, {1})]),
     ]
     return make_profile(issues, voters)
+
+
+def intractable_chain_profile():
+    """One voter conditioning each of 40 binary issues on the two before it."""
+    issues = [(f"i{j}", ("0", "1")) for j in range(40)]
+    ballots = [
+        issue_ballot(j, (j - 2, j - 1), {(0, 1): {1}}) for j in range(2, 40)
+    ]
+    return make_profile(issues, [("v", ballots)])
 
 
 class TestDispatch:
@@ -104,14 +120,57 @@ class TestDispatch:
         assert via_env.outcome == solve_profile(profile).outcome
 
     def test_intractable_instance(self):
-        issues = [(f"i{j}", ("0", "1")) for j in range(40)]
-        ballots = [
-            issue_ballot(j, (j - 2, j - 1), {(0, 1): {1}}) for j in range(2, 40)
-        ]
-        profile = make_profile(issues, [("v", ballots)])
         with pytest.raises(Intractable) as err:
-            solve_profile(profile)
+            solve_profile(intractable_chain_profile())
         assert err.value.report.components[0].route == "INTRACTABLE"
+
+    def test_solve_computes_no_vertex_covers(self, monkeypatch):
+        calls = []
+        original = analysis.vertex_cover_number
+
+        def counting(graph, k_max):
+            calls.append(k_max)
+            return original(graph, k_max)
+
+        monkeypatch.setattr(analysis, "vertex_cover_number", counting)
+        profile = gen_random(
+            30, 20, delta_max=2, statement_density=0.2, seed=3, group_dichotomous=True
+        )
+        solution = solve_profile(profile)
+        assert "mincut" in solution.method
+        assert calls == []
+        # the counter does see the covers a report prints
+        classify(profile).to_text()
+        assert len(calls) == profile.n
+
+
+class TestBallotIndex:
+    """The index-based split and majority count against full-voter scans."""
+
+    def test_split_and_majority_match_full_scan(self):
+        voter_without_ballots = unvoted_issue = False
+        majority_checked = 0
+        for seed in range(12):
+            profile = gen_random(
+                14, 6, d_max=3, delta_max=2, statement_density=0.08, seed=seed
+            )
+            assert restrict_profile(profile, range(profile.m)) == profile
+            for comp in classify(profile).components:
+                sub = restrict_profile(profile, comp.issues)
+                assert sub == naive_restrict_profile(profile, comp.issues)
+                if any(not voter.ballots for voter in sub.voters):
+                    voter_without_ballots = True
+            for j in range(profile.m):
+                ballots = [voter.ballots.get(j) for voter in profile.voters]
+                if all(b is None for b in ballots):
+                    unvoted_issue = True
+                if all(b is None or not b.scope for b in ballots):
+                    assert majority_alternative(profile, j) == (
+                        naive_majority_alternative(profile, j)
+                    )
+                    majority_checked += 1
+        assert voter_without_ballots and unvoted_issue
+        assert majority_checked > 50
 
 
 @pytest.fixture
@@ -159,6 +218,17 @@ end
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent.profile"]) == 2
+
+    def test_solve_intractable_prints_analysis(self, tmp_path, capsys):
+        path = tmp_path / "chain.profile"
+        path.write_text(serialize_profile(intractable_chain_profile()))
+        assert main(["solve", str(path)]) == 3
+        solved = capsys.readouterr()
+        assert solved.out == ""
+        assert main(["analyze", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert "per-voter vertex cover:" in report
+        assert solved.err == report + "error: no applicable solver route\n"
 
     def test_analyze(self, p1_path, capsys):
         assert main(["analyze", p1_path]) == 0
@@ -219,6 +289,7 @@ end
             [sys.executable, "-m", "cmsvote.cli", "--help"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "solve" in proc.stdout

@@ -185,3 +185,22 @@ class TestCanonicalization:
         implicit = make_profile(pairs, [("v", [])]).ballot(0, 0)
         assert implicit.scope == ()
         assert implicit.statements[()] == frozenset({0, 1})
+
+
+class TestCachedFacts:
+    def test_ballot_index_lists_explicit_ballots_in_voter_order(self):
+        p1 = build_p1()
+        v1, v2 = (voter.ballots for voter in p1.voters)
+        assert p1.ballots_by_issue == (
+            ((0, v1[0]), (1, v2[0])),
+            ((0, v1[1]), (1, v2[1])),
+        )
+        implicit = make_profile([("A", ("0", "1"))], [("v", [])])
+        assert implicit.ballots_by_issue == ((),)
+
+    def test_cached_facts_do_not_change_equality_or_repr(self):
+        warm, cold = build_p1(), build_p1()
+        assert warm.ballots_by_issue is warm.ballots_by_issue
+        assert warm.domain_sizes() == (2, 2)
+        assert warm == cold
+        assert repr(warm) == repr(cold)
