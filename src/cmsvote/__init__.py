@@ -10,7 +10,6 @@ instance generators built from classic hardness reductions, and text formats
 plus a CLI tying it together.
 """
 
-from ._backend import BACKEND
 from .analysis import (
     AnalysisReport,
     NiceTreeDecomposition,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "BACKEND",
     "BudgetExceeded",
     "CmsError",
     "CnfFormula",

@@ -1,17 +1,18 @@
 """Blocking-flow (Dinic) maximum flow on integer capacities.
 
 Arcs are stored as paired forward/backward entries (arc i's reverse is i^1)
-in head/next adjacency arrays, which both the numba kernel and the plain
-Python fallback walk.  The flow value is exact on integer capacities; the
-returned source side is the set of nodes reachable in the residual graph,
-which is the same for every maximum flow.
+in head/next adjacency arrays.  ``max_flow`` is the one implementation: it
+copies the arrays into Python lists and runs level-graph BFS plus
+iterative DFS augmentation over them, since list indexing is the cheapest
+element access plain Python has.  The flow value is exact on integer
+capacities (Python integers never overflow); the returned source side is
+the set of nodes reachable in the residual graph, which is the same for
+every maximum flow.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import _backend
 
 
 class ArcListBuilder:
@@ -40,7 +41,8 @@ class ArcListBuilder:
         )
 
 
-def _dinic_python(n, source, sink, head, nxt, to, cap):
+def max_flow(n, source, sink, head, nxt, to, cap):
+    """(flow value, residual source-side boolean array)."""
     head = head.tolist()
     nxt = nxt.tolist()
     to = to.tolist()
@@ -101,103 +103,3 @@ def _dinic_python(n, source, sink, head, nxt, to, cap):
                 stack.append(v)
             e = nxt[e]
     return flow, np.asarray(side, dtype=np.bool_)
-
-
-def _make_dinic_numba():
-    njit = _backend.njit
-
-    @njit(cache=True)
-    def dinic(n, source, sink, head, nxt, to, cap):
-        cap = cap.copy()
-        level = np.empty(n, dtype=np.int64)
-        it = np.empty(n, dtype=np.int64)
-        queue = np.empty(n, dtype=np.int64)
-        stack_nodes = np.empty(n + 1, dtype=np.int64)
-        stack_arcs = np.empty(n + 1, dtype=np.int64)
-        flow = np.int64(0)
-        while True:
-            for i in range(n):
-                level[i] = -1
-            level[source] = 0
-            queue[0] = source
-            qhead = 0
-            qtail = 1
-            while qhead < qtail:
-                u = queue[qhead]
-                qhead += 1
-                e = head[u]
-                while e != -1:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue[qtail] = v
-                        qtail += 1
-                    e = nxt[e]
-            if level[sink] < 0:
-                break
-            for i in range(n):
-                it[i] = head[i]
-            top = 0
-            stack_nodes[0] = source
-            while top >= 0:
-                u = stack_nodes[top]
-                if u == sink:
-                    bottleneck = cap[stack_arcs[1]]
-                    for d in range(2, top + 1):
-                        r = cap[stack_arcs[d]]
-                        if r < bottleneck:
-                            bottleneck = r
-                    for d in range(1, top + 1):
-                        e = stack_arcs[d]
-                        cap[e] -= bottleneck
-                        cap[e ^ 1] += bottleneck
-                    flow += bottleneck
-                    top = 0
-                    continue
-                e = it[u]
-                while e != -1 and not (cap[e] > 0 and level[to[e]] == level[u] + 1):
-                    e = nxt[e]
-                it[u] = e
-                if e == -1:
-                    level[u] = -1
-                    top -= 1
-                    if top >= 0:
-                        it[stack_nodes[top]] = nxt[stack_arcs[top + 1]]
-                else:
-                    top += 1
-                    stack_nodes[top] = to[e]
-                    stack_arcs[top] = e
-
-        side = np.zeros(n, dtype=np.bool_)
-        side[source] = True
-        sp = 0
-        stack_nodes[0] = source
-        while sp >= 0:
-            u = stack_nodes[sp]
-            sp -= 1
-            e = head[u]
-            while e != -1:
-                v = to[e]
-                if cap[e] > 0 and not side[v]:
-                    side[v] = True
-                    sp += 1
-                    stack_nodes[sp] = v
-                e = nxt[e]
-        return flow, side
-
-    return dinic
-
-
-_dinic_numba = _make_dinic_numba() if _backend.HAVE_NUMBA else None
-
-
-def max_flow(n, source, sink, head, nxt, to, cap, use_numba=None):
-    """(flow value, residual source-side boolean array)."""
-    lane_numba = _backend.USE_NUMBA if use_numba is None else use_numba
-    if lane_numba:
-        if _dinic_numba is None:
-            raise RuntimeError("numba lane requested but numba is unavailable")
-        flow, side = _dinic_numba(n, source, sink, head, nxt, to, cap)
-        return int(flow), side
-    flow, side = _dinic_python(n, source, sink, head, nxt, to, cap)
-    return int(flow), side

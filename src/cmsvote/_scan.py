@@ -1,125 +1,121 @@
-"""Flat array encoding of a profile plus the outcome-space scan kernels.
+"""Factor tables of a profile plus the outcome-space scan over them.
+
+Each (voter, issue) pair that can ever be dissatisfied becomes a 0/1
+dissatisfaction table over its sorted axes ``scope ∪ {issue}``, one axis per
+issue with that issue's domain size.  Tables of pairs that share an axis
+tuple are summed into one table per axis tuple, so the profile compiles to
+a handful of small integer tables whose broadcast sum is the total
+dissatisfaction of every outcome.
+
+Table layout and guards:
+
+- A table's cells count dissatisfied pairs, and so does every cell of a
+  scanned block, so no cell exceeds the number of pairs.  Cells are int32,
+  or int64 from 2^31 pairs on.
+- The tables together hold the sum over axis tuples of the product of their
+  domain sizes.  That figure is predicted before anything is allocated and
+  checked against the enumeration budget (``BudgetExceeded`` when larger).
 
 The scan walks outcomes in mixed-radix counting order (issue 0 most
 significant, so ascending index order is lexicographic order of assignment
-vectors) and returns the first outcome attaining the minimum total
-dissatisfaction.  Two implementations share the encoding: a numba kernel and
-a chunked vectorized numpy fallback; CMS_BACKEND picks the lane.
-
-Encoding per (voter, issue) pair that can ever be dissatisfied:
-- the premise scope as issue ids plus mixed-radix strides local to the scope,
-- statements sorted by their premise code for binary search,
-- approval sets as sorted alternative arrays (CSR), plus a flat sorted key
-  array ``statement_index * key_stride + alternative`` for the numpy lane.
+vectors).  The leading axes are split off so that the trailing block holds
+at most ``block`` outcomes; for each prefix of leading values, every table
+is indexed by the prefix and added, broadcast over the trailing axes, into a
+zero block, whose flat C-order ``argmin`` is the first minimizer within it.
+A block's minimum replaces the best so far only when strictly smaller, so
+the scan returns the lexicographically first minimizing outcome, and it
+stops early once the best cost is 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .errors import BudgetExceeded
 from .model import Profile
 
-_SENTINEL = np.int64(1) << 62
+BLOCK = 1 << 18  # outcomes per scanned block; its sums take at most 2 MiB
 
 
 @dataclass(frozen=True)
 class CompiledEvaluator:
     m: int
-    dom: np.ndarray
-    strides: np.ndarray
+    dom: tuple
+    strides: tuple
     total: int
     n_pairs: int
-    pair_issue: np.ndarray
-    scope_off: np.ndarray
-    scope_issue: np.ndarray
-    scope_stride: np.ndarray
-    stmt_off: np.ndarray
-    stmt_code: np.ndarray
-    appr_off: np.ndarray
-    appr_alt: np.ndarray
-    appr_key: np.ndarray
-    key_stride: int
+    factors: tuple  # (axes, table) per distinct axis tuple, axes ascending
 
 
-def compile_evaluator(profile: Profile) -> CompiledEvaluator:
-    dom_list = profile.domain_sizes()
-    total = math.prod(dom_list)
-    if total > (1 << 62):
-        raise BudgetExceeded(f"outcome space of {total} outcomes cannot be indexed")
+def _count_dtype(n_pairs: int) -> type:
+    """Integer type that holds every count from 0 up to n_pairs."""
+    return np.int32 if n_pairs < 2**31 else np.int64
+
+
+def compile_evaluator(profile: Profile, budget: int) -> CompiledEvaluator:
+    """Sum the profile's dissatisfaction tables per axis tuple.
+
+    Raises BudgetExceeded, before allocating any table, when the tables would
+    hold more than ``budget`` entries in total.
+    """
+    dom = profile.domain_sizes()
     m = profile.m
-    dom = np.asarray(dom_list, dtype=np.int64)
-    strides = np.empty(m, dtype=np.int64)
+    strides = []
     acc = 1
     for j in range(m - 1, -1, -1):
-        strides[j] = acc
-        acc *= dom_list[j]
+        strides.append(acc)
+        acc *= dom[j]
+    strides.reverse()
 
-    pair_issue = []
-    scope_off = [0]
-    scope_issue = []
-    scope_stride = []
-    stmt_off = [0]
-    stmt_code = []
-    appr_off = [0]
-    appr_alt = []
-
+    groups = {}
+    n_pairs = 0
     for voter in profile.voters:
-        for j in sorted(voter.ballots):
-            ballot = voter.ballots[j]
+        for j, ballot in voter.ballots.items():
             if not ballot.scope:
                 approved = ballot.statements.get((), frozenset())
-                if len(approved) == dom_list[j]:
+                if len(approved) == dom[j]:
                     continue  # approve-all cannot be dissatisfied
-            pair_issue.append(j)
-            local = 1
-            local_strides = []
-            for k in reversed(ballot.scope):
-                local_strides.append(local)
-                local *= dom_list[k]
-            local_strides.reverse()
-            scope_issue.extend(ballot.scope)
-            scope_stride.extend(local_strides)
-            scope_off.append(len(scope_issue))
-            coded = []
-            for premise, approved in ballot.statements.items():
-                code = sum(v * s for v, s in zip(premise, local_strides))
-                coded.append((code, sorted(approved)))
-            coded.sort()
-            for code, alts in coded:
-                stmt_code.append(code)
-                appr_alt.extend(alts)
-                appr_off.append(len(appr_alt))
-            stmt_off.append(len(stmt_code))
+            axes = tuple(sorted({j, *ballot.scope}))
+            groups.setdefault(axes, []).append((j, ballot))
+            n_pairs += 1
 
-    key_stride = int(dom.max()) if m else 1
-    stmt_index = np.repeat(
-        np.arange(len(stmt_code), dtype=np.int64),
-        np.diff(np.asarray(appr_off, dtype=np.int64)),
-    )
-    appr_alt_arr = np.asarray(appr_alt, dtype=np.int64)
-    appr_key = stmt_index * key_stride + appr_alt_arr
+    entries = sum(math.prod(dom[k] for k in axes) for axes in groups)
+    if entries > budget:
+        raise BudgetExceeded(
+            f"factor tables need {entries} entries, budget is {budget}"
+        )
+    dtype = _count_dtype(n_pairs)
+
+    factors = []
+    for axes, ballots in groups.items():
+        # Every pair starts dissatisfied everywhere; each approved
+        # (premise, alternative) cell then satisfies it there, once.
+        table = np.full([dom[k] for k in axes], len(ballots), dtype=dtype)
+        pos = {k: t for t, k in enumerate(axes)}
+        for j, ballot in ballots:
+            target = pos[j]
+            for premise, approved in ballot.statements.items():
+                cell = [None] * len(axes)
+                for k, v in zip(ballot.scope, premise):
+                    cell[pos[k]] = v
+                fixed = cell[target]
+                for a in approved:
+                    if fixed is None or fixed == a:
+                        cell[target] = a
+                        table[tuple(cell)] -= 1
+        factors.append((axes, table))
 
     return CompiledEvaluator(
         m=m,
         dom=dom,
-        strides=strides,
-        total=total,
-        n_pairs=len(pair_issue),
-        pair_issue=np.asarray(pair_issue, dtype=np.int64),
-        scope_off=np.asarray(scope_off, dtype=np.int64),
-        scope_issue=np.asarray(scope_issue, dtype=np.int64),
-        scope_stride=np.asarray(scope_stride, dtype=np.int64),
-        stmt_off=np.asarray(stmt_off, dtype=np.int64),
-        stmt_code=np.asarray(stmt_code, dtype=np.int64),
-        appr_off=np.asarray(appr_off, dtype=np.int64),
-        appr_alt=appr_alt_arr,
-        appr_key=appr_key,
-        key_stride=key_stride,
+        strides=tuple(strides),
+        total=math.prod(dom),
+        n_pairs=n_pairs,
+        factors=tuple(factors),
     )
 
 
@@ -130,176 +126,39 @@ def decode_outcome(compiled: CompiledEvaluator, index: int) -> tuple:
     return tuple(digits)
 
 
-def _scan_numpy(
-    dom,
-    strides,
-    total,
-    n_pairs,
-    pair_issue,
-    scope_off,
-    scope_issue,
-    scope_stride,
-    stmt_off,
-    stmt_code,
-    appr_key,
-    key_stride,
-    chunk=8192,
-):
-    best_cost = int(_SENTINEL)
-    best_index = 0
-    n_keys = appr_key.shape[0]
-    base = 0
-    while base < total:
-        size = min(chunk, total - base)
-        idx = np.arange(base, base + size, dtype=np.int64)
-        digits = (idx[:, None] // strides[None, :]) % dom[None, :]
-        cost = np.zeros(size, dtype=np.int64)
-        for p in range(n_pairs):
-            s0, s1 = scope_off[p], scope_off[p + 1]
-            t0, t1 = stmt_off[p], stmt_off[p + 1]
-            if t1 == t0:
-                cost += 1
-                continue
-            code = digits[:, scope_issue[s0:s1]] @ scope_stride[s0:s1]
-            codes = stmt_code[t0:t1]
-            pos = np.searchsorted(codes, code)
-            clipped = np.minimum(pos, t1 - t0 - 1)
-            found = codes[clipped] == code
-            if n_keys:
-                key = (t0 + clipped) * key_stride + digits[:, pair_issue[p]]
-                kpos = np.searchsorted(appr_key, key)
-                kclip = np.minimum(kpos, n_keys - 1)
-                satisfied = found & (appr_key[kclip] == key)
-            else:
-                satisfied = np.zeros(size, dtype=bool)
-            cost += 1 - satisfied
-        local = int(np.argmin(cost))
-        local_cost = int(cost[local])
-        if local_cost < best_cost:
-            best_cost = local_cost
-            best_index = base + local
-            if best_cost == 0:
-                break
-        base += size
-    return best_cost, best_index
-
-
-def _make_scan_numba():
-    njit = _backend.njit
-
-    @njit(cache=True)
-    def scan(
-        dom,
-        strides,
-        total,
-        n_pairs,
-        pair_issue,
-        scope_off,
-        scope_issue,
-        scope_stride,
-        stmt_off,
-        stmt_code,
-        appr_off,
-        appr_alt,
-    ):
-        m = dom.shape[0]
-        digits = np.zeros(m, dtype=np.int64)
-        best_cost = _SENTINEL
-        best_index = np.int64(0)
-        for index in range(total):
-            cost = 0
-            for p in range(n_pairs):
-                code = np.int64(0)
-                for s in range(scope_off[p], scope_off[p + 1]):
-                    code += digits[scope_issue[s]] * scope_stride[s]
-                lo = stmt_off[p]
-                hi = stmt_off[p + 1]
-                found = np.int64(-1)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    v = stmt_code[mid]
-                    if v == code:
-                        found = mid
-                        break
-                    elif v < code:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if found < 0:
-                    cost += 1
-                else:
-                    a = digits[pair_issue[p]]
-                    lo2 = appr_off[found]
-                    hi2 = appr_off[found + 1]
-                    ok = False
-                    while lo2 < hi2:
-                        mid2 = (lo2 + hi2) // 2
-                        w = appr_alt[mid2]
-                        if w == a:
-                            ok = True
-                            break
-                        elif w < a:
-                            lo2 = mid2 + 1
-                        else:
-                            hi2 = mid2
-                    if not ok:
-                        cost += 1
-            if cost < best_cost:
-                best_cost = cost
-                best_index = index
-                if best_cost == 0:
-                    break
-            j = m - 1
-            while j >= 0:
-                digits[j] += 1
-                if digits[j] == dom[j]:
-                    digits[j] = 0
-                    j -= 1
-                else:
-                    break
-        return best_cost, best_index
-
-    return scan
-
-
-_scan_numba = _make_scan_numba() if _backend.HAVE_NUMBA else None
-
-
-def scan_best(compiled: CompiledEvaluator, use_numba=None):
+def scan_best(compiled: CompiledEvaluator, block: int = BLOCK):
     """(cost, index) of the lexicographically first minimizing outcome."""
     if compiled.total == 0:
         raise ValueError("empty outcome space")
-    lane_numba = _backend.USE_NUMBA if use_numba is None else use_numba
-    if lane_numba:
-        if _scan_numba is None:
-            raise RuntimeError("numba lane requested but numba is unavailable")
-        cost, index = _scan_numba(
-            compiled.dom,
-            compiled.strides,
-            compiled.total,
-            compiled.n_pairs,
-            compiled.pair_issue,
-            compiled.scope_off,
-            compiled.scope_issue,
-            compiled.scope_stride,
-            compiled.stmt_off,
-            compiled.stmt_code,
-            compiled.appr_off,
-            compiled.appr_alt,
-        )
-    else:
-        cost, index = _scan_numpy(
-            compiled.dom,
-            compiled.strides,
-            compiled.total,
-            compiled.n_pairs,
-            compiled.pair_issue,
-            compiled.scope_off,
-            compiled.scope_issue,
-            compiled.scope_stride,
-            compiled.stmt_off,
-            compiled.stmt_code,
-            compiled.appr_key,
-            compiled.key_stride,
-        )
-    return int(cost), int(index)
+    dom, m = compiled.dom, compiled.m
+    split = m
+    while split > 0 and math.prod(dom[split - 1 :]) <= block:
+        split -= 1
+    trailing = dom[split:]
+    size = math.prod(trailing)
+    dtype = _count_dtype(compiled.n_pairs)
+
+    # Per table: its leading axes (indexed by the prefix) and the shape that
+    # broadcasts its trailing part over the block.
+    plans = []
+    for axes, table in compiled.factors:
+        lead = [k for k in axes if k < split]
+        shape = [dom[k] if k in axes else 1 for k in range(split, m)]
+        plans.append((lead, shape, table))
+
+    best_cost = None
+    best_index = 0
+    sums = np.empty(trailing, dtype=dtype)
+    for rank, prefix in enumerate(itertools.product(*map(range, dom[:split]))):
+        sums.fill(0)
+        for lead, shape, table in plans:
+            part = table[tuple(prefix[k] for k in lead)] if lead else table
+            np.add(sums, np.reshape(part, shape), out=sums)
+        local = int(np.argmin(sums))
+        cost = int(sums.flat[local])
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best_index = rank * size + local
+            if best_cost == 0:
+                break
+    return best_cost, best_index

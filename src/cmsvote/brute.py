@@ -14,14 +14,15 @@ def solve_brute(profile: Profile, budget: int = DEFAULT_BUDGET) -> Solution:
 
     Outcomes are scanned in mixed-radix counting order over issue indices, so
     among minimizers the lexicographically smallest assignment vector wins.
-    Raises BudgetExceeded when the outcome space is larger than ``budget``.
+    Raises BudgetExceeded when the outcome space, or the factor tables the
+    scan sums, would be larger than ``budget``.
     """
     total = outcome_space_size(profile)
     if total > budget:
         raise BudgetExceeded(
             f"outcome space has {total} outcomes, budget is {budget}"
         )
-    compiled = _scan.compile_evaluator(profile)
+    compiled = _scan.compile_evaluator(profile, budget)
     cost, index = _scan.scan_best(compiled)
     outcome = _scan.decode_outcome(compiled, index)
     solution = make_solution(profile, outcome, "brute")

@@ -6,8 +6,7 @@ routing), ``generate`` (random/reduction instances) and ``verify`` (recheck a
 solution document).  Exit codes: 0 success or decision-yes, 1 decision-no or
 failed verification, 2 usage or parse errors, 3 intractable instances.
 
-The env vars CMS_BACKEND (numba|numpy kernels) and CMS_THREADS (component
-parallelism) tune execution, see the package README.
+The env var CMS_THREADS caps component parallelism, see the package README.
 """
 
 from __future__ import annotations

@@ -14,11 +14,11 @@ component's own issues instead of every voter's ballot map.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _backend
 from .analysis import (
     BRUTE,
     DEFAULT_BRUTE_BUDGET,
@@ -45,6 +45,17 @@ from .treewidth import solve_treewidth
 METHODS = ("auto", "brute", "mincut", "treewidth")
 
 
+def thread_cap() -> int:
+    """Maximum number of worker threads the dispatcher may use: the
+    CMS_THREADS environment variable, default 1."""
+    raw = os.environ.get("CMS_THREADS", "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"CMS_THREADS must be an integer, got {raw!r}")
+    return max(1, value)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     method: str = "auto"
@@ -65,7 +76,9 @@ def restrict_profile(profile: Profile, issues) -> Profile:
 
     Every voter is kept (their ballots outside the subset contribute zero
     dissatisfaction there), so component costs add up to the full cost.
-    Each voter's ballots follow the order of ``issues``.
+    Each voter's ballots follow the order of ``issues``, which need not be
+    ascending: a premise is permuted along with its scope, so that it stays
+    aligned with the sorted sub-profile scope.
     """
     issues = list(issues)
     index = {j: t for t, j in enumerate(issues)}
@@ -75,10 +88,15 @@ def restrict_profile(profile: Profile, issues) -> Profile:
     sub_ballots = {}
     for t, j in enumerate(issues):
         for i, ballot in profile.ballots_by_issue[j]:
-            scope = tuple(index[k] for k in ballot.scope)
-            sub_ballots.setdefault(i, []).append(
-                issue_ballot(t, scope, ballot.statements)
-            )
+            scope = [index[k] for k in ballot.scope]
+            statements = ballot.statements
+            if scope != sorted(scope):
+                order = sorted(range(len(scope)), key=scope.__getitem__)
+                statements = {
+                    tuple(premise[o] for o in order): approved
+                    for premise, approved in statements.items()
+                }
+            sub_ballots.setdefault(i, []).append(issue_ballot(t, scope, statements))
     return make_profile(
         sub_issues,
         [(voter.name, sub_ballots.get(i, ())) for i, voter in enumerate(profile.voters)],
@@ -179,7 +197,7 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
                 )
         return route, partial, cost
 
-    threads = config.threads if config.threads is not None else _backend.thread_cap()
+    threads = config.threads if config.threads is not None else thread_cap()
     if threads > 1 and len(plan) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, plan))

@@ -6,7 +6,7 @@ class CmsError(Exception):
 
 
 class BudgetExceeded(CmsError):
-    """The outcome space is larger than the enumeration budget."""
+    """A solve would need more outcomes or table entries than its budget allows."""
 
 
 class NotGroupDichotomous(CmsError):

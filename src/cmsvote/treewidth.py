@@ -13,6 +13,7 @@ counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,18 @@ from .analysis import (
     make_nice,
     verify_decomposition,
 )
-from .errors import DeltaTooLarge, InternalMismatch, InvalidDecomposition
+from .errors import (
+    BudgetExceeded,
+    DeltaTooLarge,
+    InternalMismatch,
+    InvalidDecomposition,
+)
 from .model import Profile, Solution, make_solution
+
+# The tables are kept for the traceback, so their entries add up: 2^27 int64
+# entries are 1 GiB.  A decomposition that needs more fails before the first
+# table is allocated.
+MAX_TABLE_ENTRIES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,8 @@ def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Sol
     dependency graph is built and normalized.  Any valid decomposition gives
     the same cost; only the table sizes differ.  Time is
     O(#nodes * d^(width+1) * (width+1)) and memory O(#nodes * d^(width+1)),
-    the tables being kept for the traceback.
+    the tables being kept for the traceback.  Raises BudgetExceeded when the
+    tables would hold more than ``MAX_TABLE_ENTRIES`` entries in total.
     """
     model = compile_cost_model(profile)
     graph = build_global_graph(profile)
@@ -132,6 +144,12 @@ def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Sol
 
     dom = profile.domain_sizes()
     order = nice.postorder()
+    entries = sum(math.prod(dom[v] for v in node.bag) for node in order)
+    if entries > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"dynamic program needs {entries} table entries, "
+            f"limit is {MAX_TABLE_ENTRIES}"
+        )
     tables = {}
     for node in order:
         if node.kind == "leaf":

@@ -89,11 +89,18 @@ def naive_restrict_profile(profile, issues):
     index = {j: t for t, j in enumerate(issues)}
     sub_voters = []
     for voter in profile.voters:
-        ballots = [
-            issue_ballot(index[j], (index[k] for k in ballot.scope), ballot.statements)
-            for j, ballot in voter.ballots.items()
-            if j in index
-        ]
+        ballots = []
+        for j, ballot in voter.ballots.items():
+            if j not in index:
+                continue
+            scope = [index[k] for k in ballot.scope]
+            # A premise lists values in scope order, so it is re-sorted by
+            # the new issue ids together with the scope.
+            statements = [
+                (tuple(v for _, v in sorted(zip(scope, premise))), approved)
+                for premise, approved in ballot.statements.items()
+            ]
+            ballots.append(issue_ballot(index[j], scope, statements))
         sub_voters.append((voter.name, ballots))
     sub_issues = [
         (profile.issues[j].name, profile.issues[j].alternatives) for j in issues

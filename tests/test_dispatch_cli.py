@@ -1,3 +1,5 @@
+import itertools
+import random
 import subprocess
 import sys
 
@@ -171,6 +173,34 @@ class TestBallotIndex:
                     majority_checked += 1
         assert voter_without_ballots and unvoted_issue
         assert majority_checked > 50
+
+    def test_restrict_to_unsorted_issue_order(self):
+        # Sub-profile issue t is full-profile issue order[t]; each outcome
+        # must cost what its permutation costs in the full profile.
+        permuted_premises = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            profile = gen_random(
+                5, 4, d_max=3, delta_max=3, statement_density=0.5, seed=seed
+            )
+            order = rng.sample(range(profile.m), profile.m)
+            sub = restrict_profile(profile, order)
+            assert sub == naive_restrict_profile(profile, order)
+            for outcome in itertools.product(*map(range, sub.domain_sizes())):
+                full = [None] * profile.m
+                for t, j in enumerate(order):
+                    full[j] = outcome[t]
+                assert total_dissatisfaction(sub, outcome) == total_dissatisfaction(
+                    profile, full
+                )
+            permuted_premises += sum(
+                1
+                for voter in profile.voters
+                for ballot in voter.ballots.values()
+                if len(ballot.scope) > 1
+                and sorted(ballot.scope, key=order.index) != list(ballot.scope)
+            )
+        assert permuted_premises > 10
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cmsvote import (
+    BudgetExceeded,
     DeltaTooLarge,
     InvalidDecomposition,
     compile_cost_model,
@@ -16,8 +19,10 @@ from cmsvote import (
     solve_treewidth,
     total_dissatisfaction,
 )
-from cmsvote.analysis import TreeDecomposition, build_global_graph
+from cmsvote.analysis import TreeDecomposition, build_global_graph, classify
+from cmsvote.cli import main
 from cmsvote.model import issue_ballot, make_profile
+from cmsvote.textio import serialize_profile
 
 from helpers import build_p1, coarsen_decomposition
 
@@ -30,6 +35,20 @@ def agreement_chain(m, d):
         for j in range(1, m)
     ]
     return make_profile(issues, [("chain", ballots)])
+
+
+def agreement_grid(side, d):
+    """A side x side grid of d-alternative issues; per grid edge, one voter
+    whose ballot on the later issue copies the earlier one's value."""
+    issues = [(f"i{j}", tuple(str(a) for a in range(d))) for j in range(side * side)]
+    voters = []
+    for j in range(side * side):
+        right = [j + 1] if (j + 1) % side else []
+        down = [j + side] if j + side < side * side else []
+        for k in right + down:
+            ballot = issue_ballot(k, (j,), {(a,): {a} for a in range(d)})
+            voters.append((f"v{j}_{k}", [ballot]))
+    return make_profile(issues, voters)
 
 
 class TestCostModel:
@@ -144,3 +163,27 @@ class TestSolveTreewidth:
             ],
         )
         assert solve_treewidth(profile).cost == solve_brute(profile).cost
+
+
+class TestTableLimit:
+    # The 7 x 7 grid of 8-alternative issues routes TREEWIDTH at width 8, and
+    # its nice decomposition needs about 1.02e9 table entries (7.6 GiB).
+    def test_oversized_tables_fail_before_allocation(self):
+        profile = agreement_grid(7, 8)
+        assert [c.route for c in classify(profile).components] == ["TREEWIDTH"]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BudgetExceeded, match="table entries"):
+                solve_treewidth(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 10
+        assert peak < 100 * 2**20
+
+    def test_cli_solve_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "grid.profile"
+        path.write_text(serialize_profile(agreement_grid(7, 8)))
+        assert main(["solve", str(path)]) == 3
+        assert "table entries" in capsys.readouterr().err
