@@ -4,7 +4,8 @@ Subcommands: ``solve`` (optimal outcome, optionally checked against a
 dissatisfaction threshold), ``analyze`` (structure report and solver
 routing), ``generate`` (random/reduction instances) and ``verify`` (recheck a
 solution document).  Exit codes: 0 success or decision-yes, 1 decision-no or
-failed verification, 2 usage or parse errors, 3 intractable instances.
+failed verification, 2 usage or parse errors, 3 intractable instances and
+solves that exceed a budget or run out of memory.
 
 The env var CMS_THREADS caps component parallelism, see the package README.
 """
@@ -17,7 +18,13 @@ import sys
 from . import generators, textio
 from .analysis import classify
 from .dispatch import SolveConfig, solve_profile
-from .errors import CmsError, InternalMismatch, Intractable, ParseError
+from .errors import (
+    BudgetExceeded,
+    CmsError,
+    InternalMismatch,
+    Intractable,
+    ParseError,
+)
 from .model import make_solution
 
 
@@ -118,7 +125,14 @@ def _cmd_solve(args) -> int:
         brute_budget=args.brute_budget,
         cross_validate=args.cross_validate,
     )
-    solution = solve_profile(profile, config)
+    try:
+        solution = solve_profile(profile, config)
+    except (BudgetExceeded, MemoryError) as exc:
+        # Reported like Intractable: the analysis first, then the reason.
+        report = classify(profile, args.width_threshold, args.brute_budget)
+        print(report.to_text(), file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
     _emit(textio.serialize_solution(profile, solution), args.out)
     if args.max_dissat is not None:
         return 0 if solution.cost <= args.max_dissat else 1

@@ -4,11 +4,12 @@ With premise scopes of size <= 1 every (voter, issue) dissatisfaction depends
 on the issue's own value and at most one other issue, so the objective
 decomposes into unary tables per issue and binary tables per global
 dependency edge.  The minimum is then found by dynamic programming over a
-nice tree decomposition of the global dependency graph: introduce nodes add
-the new vertex's unary cost and its edges into the bag, forget nodes
-minimize the vertex out (ties to the lowest alternative index), and join
-nodes add child tables and subtract the bag-local cost that both branches
-counted.
+nice tree decomposition of the global dependency graph, in the manner of
+bucket elimination: each cost table is charged once, at the forget node of
+its first vertex to leave the bag, which adds the vertex's unary table and
+its edges into the rest of the bag and then minimizes the vertex out (ties to
+the lowest alternative index).  Introduce nodes broadcast the child table
+over the new axis without copying it, and join nodes add the child tables.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .errors import (
 )
 from .model import Profile, Solution, make_solution
 
-# The tables are kept for the traceback, so their entries add up: 2^27 int64
-# entries are 1 GiB.  A decomposition that needs more fails before the first
-# table is allocated.
+# Bounds the work of the dynamic program: the sum over the nice decomposition's
+# bags of the product of their domain sizes.  Each table is freed once its
+# parent is built, so this is work rather than memory held at once.  A
+# decomposition that needs more fails before the first table is allocated.
 MAX_TABLE_ENTRIES = 1 << 27
 
 
@@ -108,27 +110,17 @@ def _edge_view(model: CostModel, bag, u, v, dom):
     return table.reshape(shape)
 
 
-def _bag_local_cost(model: CostModel, bag, dom):
-    total = np.zeros(tuple(dom[u] for u in bag), dtype=np.int64)
-    for u in bag:
-        total = total + model.unary[u].reshape(_axis_shape(bag, u, dom))
-    for a in range(len(bag)):
-        for b in range(a + 1, len(bag)):
-            view = _edge_view(model, bag, bag[a], bag[b], dom)
-            if view is not None:
-                total = total + view
-    return total
-
-
 def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Solution:
     """Optimal outcome by dynamic programming over a nice tree decomposition.
 
     When ``nice`` is omitted, a min-fill heuristic decomposition of the global
     dependency graph is built and normalized.  Any valid decomposition gives
     the same cost; only the table sizes differ.  Time is
-    O(#nodes * d^(width+1) * (width+1)) and memory O(#nodes * d^(width+1)),
-    the tables being kept for the traceback.  Raises BudgetExceeded when the
-    tables would hold more than ``MAX_TABLE_ENTRIES`` entries in total.
+    O(#nodes * d^(width+1) * (width+1)).  Memory is the tables still waiting
+    for their parent plus one argmin table per forget node, in the smallest
+    unsigned type that holds the forgotten vertex's alternatives; the
+    traceback reads only those argmins.  Raises BudgetExceeded when the bags
+    would hold more than ``MAX_TABLE_ENTRIES`` table entries in total.
     """
     model = compile_cost_model(profile)
     graph = build_global_graph(profile)
@@ -151,65 +143,49 @@ def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Sol
             f"limit is {MAX_TABLE_ENTRIES}"
         )
     tables = {}
+    choices = {}
     for node in order:
         if node.kind == "leaf":
             table = np.zeros((), dtype=np.int64)
         elif node.kind == "introduce":
-            child = node.children[0]
-            v = node.vertex
-            pos = node.bag.index(v)
-            table = np.expand_dims(tables[id(child)], pos) + model.unary[v].reshape(
-                _axis_shape(node.bag, v, dom)
-            )
-            for u in node.bag:
-                if u == v:
-                    continue
-                view = _edge_view(model, node.bag, u, v, dom)
-                if view is not None:
-                    table = table + view
+            pos = node.bag.index(node.vertex)
+            table = np.expand_dims(tables.pop(id(node.children[0])), pos)
         elif node.kind == "forget":
             child = node.children[0]
-            pos = child.bag.index(node.vertex)
-            table = tables[id(child)].min(axis=pos)
+            v = node.vertex
+            pos = child.bag.index(v)
+            table = tables.pop(id(child)) + model.unary[v].reshape(
+                _axis_shape(child.bag, v, dom)
+            )
+            for u in child.bag:
+                if u == v:
+                    continue
+                view = _edge_view(model, child.bag, u, v, dom)
+                if view is not None:
+                    table = table + view
+            choices[id(node)] = table.argmin(axis=pos).astype(
+                np.min_scalar_type(dom[v] - 1)
+            )
+            table = table.min(axis=pos)
         else:  # join
             left, right = node.children
-            table = (
-                tables[id(left)]
-                + tables[id(right)]
-                - _bag_local_cost(model, node.bag, dom)
-            )
+            table = tables.pop(id(left)) + tables.pop(id(right))
         tables[id(node)] = table
 
     optimum = int(tables[id(nice.root)])
 
-    # Walk back down, fixing each vertex at the forget node that removed it;
-    # ties go to the lowest alternative index.
+    # Parents come before children in reverse postorder, and every vertex of
+    # a forget node's bag is forgotten further up, so its value is known.  An
+    # argmin keeps a size-1 axis for each bag vertex its table did not yet
+    # depend on; that axis is indexed at 0.
     assignment = {}
-    stack = [(nice.root, {})]
-    while stack:
-        node, partial = stack.pop()
-        if node.kind == "leaf":
-            continue
+    for node in reversed(order):
         if node.kind == "forget":
-            child = node.children[0]
-            pos = child.bag.index(node.vertex)
-            child_table = tables[id(child)]
-            index = tuple(
-                slice(None) if u == node.vertex else partial[u] for u in child.bag
+            choice = choices[id(node)]
+            values = tuple(
+                assignment[u] if n > 1 else 0 for u, n in zip(node.bag, choice.shape)
             )
-            value = int(np.argmin(child_table[index]))
-            assignment[node.vertex] = value
-            extended = dict(partial)
-            extended[node.vertex] = value
-            stack.append((child, extended))
-        elif node.kind == "introduce":
-            child = node.children[0]
-            reduced = {u: partial[u] for u in child.bag}
-            stack.append((child, reduced))
-        else:  # join
-            left, right = node.children
-            stack.append((left, dict(partial)))
-            stack.append((right, dict(partial)))
+            assignment[node.vertex] = int(choice[values])
 
     outcome = tuple(assignment[j] for j in range(profile.m))
     solution = make_solution(profile, outcome, "treewidth")

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths they are used to check:
 ``naive_optimum`` enumerates outcomes with itertools against the dict-based
 ballot semantics (never touching the scan kernels), satisfiability checks
 enumerate assignments of the source problems directly, the vertex cover
-oracle tries every subset, and the component split and majority count scan
-every voter instead of reading the profile's per-issue ballot index.
+oracle tries every subset, the component split and majority count scan
+every voter instead of reading the profile's per-issue ballot index, and the
+tree-decomposition reference keeps every full DP table for its traceback.
 """
 
 from __future__ import annotations
@@ -13,15 +14,25 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import tracemalloc
+
+import numpy as np
 
 import cmsvote
 from cmsvote import (
     CnfFormula,
     ColoredGraph,
     CspInstance,
+    compile_cost_model,
     total_dissatisfaction,
 )
-from cmsvote.analysis import TreeDecomposition, UndirectedGraph
+from cmsvote.analysis import (
+    TreeDecomposition,
+    UndirectedGraph,
+    build_global_graph,
+    heuristic_tree_decomposition,
+    make_nice,
+)
 from cmsvote.mincut import TwoMonotoneConstraint
 from cmsvote.model import approve, issue_ballot, make_profile
 
@@ -48,6 +59,16 @@ def child_env(**overrides):
     root = os.path.dirname(os.path.dirname(cmsvote.__file__))
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes tracemalloc sees while it runs."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def build_p1():
@@ -106,6 +127,65 @@ def naive_restrict_profile(profile, issues):
         (profile.issues[j].name, profile.issues[j].alternatives) for j in issues
     ]
     return make_profile(sub_issues, sub_voters)
+
+
+def naive_treewidth_outcome(profile):
+    """Outcome of a DP that keeps every full bag table for the traceback.
+
+    Introduce nodes add the new vertex's unary table and its edges into the
+    bag, join nodes add both children and subtract the bag's own tables,
+    which both branches counted, and the traceback re-minimizes each forget
+    node's child table (ties to the lowest alternative index).
+    """
+    model = compile_cost_model(profile)
+    nice = make_nice(heuristic_tree_decomposition(build_global_graph(profile)))
+    dom = profile.domain_sizes()
+
+    def bag_view(bag, table, axes):
+        shape = [1] * len(bag)
+        for u, size in zip(axes, table.shape):
+            shape[bag.index(u)] = size
+        return table.reshape(shape)
+
+    def local_cost(bag, new):
+        """Tables of ``bag`` that involve ``new``, or all of them if None."""
+        total = np.zeros(tuple(dom[u] for u in bag), dtype=np.int64)
+        for u in bag:
+            if new in (None, u):
+                total = total + bag_view(bag, model.unary[u], (u,))
+        for (k, j), table in model.binary.items():
+            if k in bag and j in bag and new in (None, k, j):
+                total = total + bag_view(bag, table, (k, j))
+        return total
+
+    tables = {}
+    for node in nice.postorder():
+        if node.kind == "leaf":
+            table = np.zeros((), dtype=np.int64)
+        elif node.kind == "introduce":
+            child = tables[id(node.children[0])]
+            pos = node.bag.index(node.vertex)
+            table = np.expand_dims(child, pos) + local_cost(node.bag, node.vertex)
+        elif node.kind == "forget":
+            child = node.children[0]
+            table = tables[id(child)].min(axis=child.bag.index(node.vertex))
+        else:
+            left, right = node.children
+            table = tables[id(left)] + tables[id(right)] - local_cost(node.bag, None)
+        tables[id(node)] = table
+
+    assignment = {}
+    stack = [nice.root]
+    while stack:
+        node = stack.pop()
+        if node.kind == "forget":
+            child = node.children[0]
+            index = tuple(
+                slice(None) if u == node.vertex else assignment[u] for u in child.bag
+            )
+            assignment[node.vertex] = int(np.argmin(tables[id(child)][index]))
+        stack.extend(node.children)
+    return tuple(assignment[j] for j in range(profile.m))
 
 
 def naive_majority_alternative(profile, issue):

@@ -260,6 +260,20 @@ end
         assert "per-voter vertex cover:" in report
         assert solved.err == report + "error: no applicable solver route\n"
 
+    def test_solve_out_of_memory_prints_analysis(self, tmp_path, capsys, monkeypatch):
+        def exhausted(profile, config):
+            raise MemoryError()
+
+        monkeypatch.setattr("cmsvote.cli.solve_profile", exhausted)
+        path = tmp_path / "chain.profile"
+        path.write_text(serialize_profile(intractable_chain_profile()))
+        assert main(["solve", str(path)]) == 3
+        solved = capsys.readouterr()
+        assert solved.out == ""
+        assert main(["analyze", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert solved.err == report + "error: out of memory\n"
+
     def test_analyze(self, p1_path, capsys):
         assert main(["analyze", p1_path]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +18,23 @@ from cmsvote import (
     solve_treewidth,
     total_dissatisfaction,
 )
-from cmsvote.analysis import TreeDecomposition, build_global_graph, classify
+from cmsvote.analysis import (
+    NiceNode,
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    build_global_graph,
+    classify,
+)
 from cmsvote.cli import main
 from cmsvote.model import issue_ballot, make_profile
 from cmsvote.textio import serialize_profile
 
-from helpers import build_p1, coarsen_decomposition
+from helpers import (
+    build_p1,
+    coarsen_decomposition,
+    naive_treewidth_outcome,
+    traced_peak,
+)
 
 
 def agreement_chain(m, d):
@@ -49,6 +59,32 @@ def agreement_grid(side, d):
             ballot = issue_ballot(k, (j,), {(a,): {a} for a in range(d)})
             voters.append((f"v{j}_{k}", [ballot]))
     return make_profile(issues, voters)
+
+
+def shift_grid(rows, cols, d):
+    """A rows x cols grid of d-alternative issues; per grid edge, one voter
+    whose ballot on the later issue approves the earlier one's value plus one,
+    modulo d."""
+    issues = [(f"i{j}", tuple(str(a) for a in range(d))) for j in range(rows * cols)]
+    voters = []
+    for j in range(rows * cols):
+        right = [j + 1] if (j + 1) % cols else []
+        down = [j + cols] if j + cols < rows * cols else []
+        for k in right + down:
+            ballot = issue_ballot(k, (j,), {(a,): {(a + 1) % d} for a in range(d)})
+            voters.append((f"v{j}_{k}", [ballot]))
+    return make_profile(issues, voters)
+
+
+def mirror_joins(nice):
+    """The same decomposition with every join node's children swapped."""
+    copies = {}
+    for node in nice.postorder():
+        children = tuple(copies[id(child)] for child in node.children)
+        if node.kind == "join":
+            children = children[::-1]
+        copies[id(node)] = NiceNode(node.kind, node.bag, node.vertex, children)
+    return NiceTreeDecomposition(copies[id(nice.root)])
 
 
 class TestCostModel:
@@ -165,20 +201,52 @@ class TestSolveTreewidth:
         assert solve_treewidth(profile).cost == solve_brute(profile).cost
 
 
+class TestOutcomeIdentity:
+    """Charging each table at one forget node leaves every outcome, ties
+    included, as the keep-every-table reference DP computes it."""
+
+    def test_random_profiles(self):
+        for seed in range(200):
+            profile = gen_random(
+                7, 5, d_max=2 + seed % 3, delta_max=seed % 2,
+                statement_density=0.5, seed=seed,
+            )
+            solution = solve_treewidth(profile)
+            assert solution.outcome == naive_treewidth_outcome(profile), seed
+
+    def test_grids(self):
+        for rho in range(2, 6):
+            profile = gen_grid(rho)
+            assert solve_treewidth(profile).outcome == naive_treewidth_outcome(profile)
+
+    def test_mirrored_joins(self):
+        joins = 0
+        for seed in range(40):
+            profile = gen_random(
+                8, 4, d_max=3, delta_max=1, statement_density=0.3, seed=seed
+            )
+            nice = make_nice(heuristic_tree_decomposition(build_global_graph(profile)))
+            joins += sum(node.kind == "join" for node in nice.postorder())
+            mirrored = mirror_joins(nice)
+            assert solve_treewidth(profile, mirrored).outcome == (
+                solve_treewidth(profile, nice).outcome
+            )
+        assert joins > 0
+
+
 class TestTableLimit:
     # The 7 x 7 grid of 8-alternative issues routes TREEWIDTH at width 8, and
     # its nice decomposition needs about 1.02e9 table entries (7.6 GiB).
     def test_oversized_tables_fail_before_allocation(self):
         profile = agreement_grid(7, 8)
         assert [c.route for c in classify(profile).components] == ["TREEWIDTH"]
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
+
+        def attempt():
             with pytest.raises(BudgetExceeded, match="table entries"):
                 solve_treewidth(profile)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        start = time.perf_counter()
+        _, peak = traced_peak(attempt)
         assert time.perf_counter() - start < 10
         assert peak < 100 * 2**20
 
@@ -186,4 +254,16 @@ class TestTableLimit:
         path = tmp_path / "grid.profile"
         path.write_text(serialize_profile(agreement_grid(7, 8)))
         assert main(["solve", str(path)]) == 3
-        assert "table entries" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert main(["analyze", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert err.startswith(report + "error: ")
+        assert "table entries" in err.removeprefix(report)
+
+    def test_dp_memory_stays_small(self):
+        # A 5 x 40 grid of 4-alternative issues has width 5.  A DP that keeps
+        # every table for the traceback peaks at about 11 MB here.
+        profile = shift_grid(5, 40, 4)
+        solution, peak = traced_peak(lambda: solve_treewidth(profile))
+        assert solution.cost == 0
+        assert peak < 2 * 2**20
