@@ -5,11 +5,13 @@ of other issues; the winning outcome minimizes the total number of
 (voter, issue) disagreements.  The package provides the ballot model, three
 exact solvers (exhaustive search, a min-cut reduction for group-dichotomous
 binary ballots, and dynamic programming over a tree decomposition for
-single-premise ballots), structural analysis with automatic solver routing,
-instance generators built from classic hardness reductions, and text formats
-plus a CLI tying it together.
+single-premise ballots, where the exhaustive search and the dynamic program
+share one factor-table compilation of the objective), structural analysis
+with automatic solver routing, instance generators built from classic
+hardness reductions, and text formats plus a CLI tying it together.
 """
 
+from ._scan import CostModel, compile_cost_model
 from .analysis import (
     AnalysisReport,
     NiceTreeDecomposition,
@@ -74,7 +76,7 @@ from .textio import (
     serialize_profile,
     serialize_solution,
 )
-from .treewidth import CostModel, compile_cost_model, solve_treewidth
+from .treewidth import solve_treewidth
 
 __version__ = "0.1.0"
 

@@ -1,20 +1,23 @@
 """Factor tables of a profile plus the outcome-space scan over them.
 
+This is the one compiler of a profile's objective, shared by the outcome
+scan here and the tree-decomposition dynamic program in ``treewidth``.
 Each (voter, issue) pair that can ever be dissatisfied becomes a 0/1
 dissatisfaction table over its sorted axes ``scope ∪ {issue}``, one axis per
-issue with that issue's domain size.  Tables of pairs that share an axis
-tuple are summed into one table per axis tuple, so the profile compiles to
-a handful of small integer tables whose broadcast sum is the total
-dissatisfaction of every outcome.
+issue with that issue's domain size, so a factor has any arity from 1 up.
+Tables of pairs that share an axis tuple are summed into one table per axis
+tuple, so the profile compiles to a handful of small integer tables whose
+broadcast sum is the total dissatisfaction of every outcome.
 
 Table layout and guards:
 
-- A table's cells count dissatisfied pairs, and so does every cell of a
-  scanned block, so no cell exceeds the number of pairs.  Cells are int32,
-  or int64 from 2^31 pairs on.
+- A table's cells count dissatisfied pairs, and so does every sum of cells
+  of distinct tables (a scanned block, a dynamic-program table), so no such
+  sum exceeds the number of pairs.  Cells are int32, or int64 from 2^31
+  pairs on.
 - The tables together hold the sum over axis tuples of the product of their
   domain sizes.  That figure is predicted before anything is allocated and
-  checked against the enumeration budget (``BudgetExceeded`` when larger).
+  checked against the caller's budget (``BudgetExceeded`` when larger).
 
 The scan walks outcomes in mixed-radix counting order (issue 0 most
 significant, so ascending index order is lexicographic order of assignment
@@ -42,7 +45,10 @@ BLOCK = 1 << 18  # outcomes per scanned block; its sums take at most 2 MiB
 
 
 @dataclass(frozen=True)
-class CompiledEvaluator:
+class CostModel:
+    """A profile's objective as factor tables whose broadcast sum is the
+    total dissatisfaction of every outcome."""
+
     m: int
     dom: tuple
     strides: tuple
@@ -50,13 +56,18 @@ class CompiledEvaluator:
     n_pairs: int
     factors: tuple  # (axes, table) per distinct axis tuple, axes ascending
 
+    @property
+    def dtype(self) -> type:
+        """Type of every table, and of any sum of disjoint table cells."""
+        return _count_dtype(self.n_pairs)
+
 
 def _count_dtype(n_pairs: int) -> type:
     """Integer type that holds every count from 0 up to n_pairs."""
     return np.int32 if n_pairs < 2**31 else np.int64
 
 
-def compile_evaluator(profile: Profile, budget: int) -> CompiledEvaluator:
+def compile_cost_model(profile: Profile, budget: int) -> CostModel:
     """Sum the profile's dissatisfaction tables per axis tuple.
 
     Raises BudgetExceeded, before allocating any table, when the tables would
@@ -109,7 +120,7 @@ def compile_evaluator(profile: Profile, budget: int) -> CompiledEvaluator:
                         table[tuple(cell)] -= 1
         factors.append((axes, table))
 
-    return CompiledEvaluator(
+    return CostModel(
         m=m,
         dom=dom,
         strides=tuple(strides),
@@ -119,14 +130,14 @@ def compile_evaluator(profile: Profile, budget: int) -> CompiledEvaluator:
     )
 
 
-def decode_outcome(compiled: CompiledEvaluator, index: int) -> tuple:
+def decode_outcome(compiled: CostModel, index: int) -> tuple:
     digits = []
     for j in range(compiled.m):
         digits.append(int((index // int(compiled.strides[j])) % int(compiled.dom[j])))
     return tuple(digits)
 
 
-def scan_best(compiled: CompiledEvaluator, block: int = BLOCK):
+def scan_best(compiled: CostModel, block: int = BLOCK):
     """(cost, index) of the lexicographically first minimizing outcome."""
     if compiled.total == 0:
         raise ValueError("empty outcome space")
@@ -136,7 +147,6 @@ def scan_best(compiled: CompiledEvaluator, block: int = BLOCK):
         split -= 1
     trailing = dom[split:]
     size = math.prod(trailing)
-    dtype = _count_dtype(compiled.n_pairs)
 
     # Per table: its leading axes (indexed by the prefix) and the shape that
     # broadcasts its trailing part over the block.
@@ -148,7 +158,7 @@ def scan_best(compiled: CompiledEvaluator, block: int = BLOCK):
 
     best_cost = None
     best_index = 0
-    sums = np.empty(trailing, dtype=dtype)
+    sums = np.empty(trailing, dtype=compiled.dtype)
     for rank, prefix in enumerate(itertools.product(*map(range, dom[:split]))):
         sums.fill(0)
         for lead, shape, table in plans:

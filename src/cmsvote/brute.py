@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from . import _scan
+from .analysis import DEFAULT_BRUTE_BUDGET
 from .errors import BudgetExceeded, InternalMismatch
 from .model import Profile, Solution, make_solution, outcome_space_size
 
-DEFAULT_BUDGET = 10_000_000
 
-
-def solve_brute(profile: Profile, budget: int = DEFAULT_BUDGET) -> Solution:
+def solve_brute(profile: Profile, budget: int = DEFAULT_BRUTE_BUDGET) -> Solution:
     """Minimize total dissatisfaction by enumerating every outcome.
 
     Outcomes are scanned in mixed-radix counting order over issue indices, so
@@ -22,7 +21,7 @@ def solve_brute(profile: Profile, budget: int = DEFAULT_BUDGET) -> Solution:
         raise BudgetExceeded(
             f"outcome space has {total} outcomes, budget is {budget}"
         )
-    compiled = _scan.compile_evaluator(profile, budget)
+    compiled = _scan.compile_cost_model(profile, budget)
     cost, index = _scan.scan_best(compiled)
     outcome = _scan.decode_outcome(compiled, index)
     solution = make_solution(profile, outcome, "brute")

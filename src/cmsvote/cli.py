@@ -6,8 +6,6 @@ routing), ``generate`` (random/reduction instances) and ``verify`` (recheck a
 solution document).  Exit codes: 0 success or decision-yes, 1 decision-no or
 failed verification, 2 usage or parse errors, 3 intractable instances and
 solves that exceed a budget or run out of memory.
-
-The env var CMS_THREADS caps component parallelism, see the package README.
 """
 
 from __future__ import annotations

@@ -14,10 +14,7 @@ component's own issues instead of every voter's ballot map.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 from .analysis import (
     BRUTE,
@@ -45,24 +42,12 @@ from .treewidth import solve_treewidth
 METHODS = ("auto", "brute", "mincut", "treewidth")
 
 
-def thread_cap() -> int:
-    """Maximum number of worker threads the dispatcher may use: the
-    CMS_THREADS environment variable, default 1."""
-    raw = os.environ.get("CMS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"CMS_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     method: str = "auto"
     width_threshold: int = DEFAULT_WIDTH_THRESHOLD
     brute_budget: int = DEFAULT_BRUTE_BUDGET
     cross_validate: bool = False
-    threads: Optional[int] = None  # None: use the CMS_THREADS cap
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -119,12 +104,12 @@ def majority_alternative(profile: Profile, issue: int) -> int:
     return max(range(d), key=lambda a: (counts[a], -a))
 
 
-def _solver_for(route: str):
-    return {
-        BRUTE: solve_brute,
-        MINCUT: solve_mincut,
-        TREEWIDTH: solve_treewidth,
-    }[route]
+def _solve(route: str, sub: Profile, budget: int) -> Solution:
+    if route == BRUTE:
+        return solve_brute(sub, budget)
+    if route == MINCUT:
+        return solve_mincut(sub)
+    return solve_treewidth(sub)
 
 
 def _applicable_routes(comp, budget) -> list:
@@ -160,55 +145,37 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
                 raise Intractable(report)
         plan.append((comp, route))
 
-    def run(item):
-        comp, route = item
+    assignment = {}
+    component_total = 0
+    routes_used = []
+    for comp, route in plan:
+        sub = None
         if route == MAJORITY:
             (issue,) = comp.issues
             alt = majority_alternative(profile, issue)
-            partial = {issue: alt}
+            assignment[issue] = alt
             cost = sum(
                 1
                 for _, ballot in profile.ballots_by_issue[issue]
                 if alt not in ballot.statements[()]
             )
-            checked = [cost]
         else:
             sub = restrict_profile(profile, comp.issues)
-            if route == BRUTE:
-                solution = solve_brute(sub, config.brute_budget)
-            else:
-                solution = _solver_for(route)(sub)
-            partial = dict(zip(comp.issues, solution.outcome))
+            solution = _solve(route, sub, config.brute_budget)
+            assignment.update(zip(comp.issues, solution.outcome))
             cost = solution.cost
-            checked = [cost]
         if config.cross_validate:
+            checked = [cost]
             for other in _applicable_routes(comp, config.brute_budget):
                 if other == route:
                     continue
-                sub = restrict_profile(profile, comp.issues)
-                if other == BRUTE:
-                    alt_cost = solve_brute(sub, config.brute_budget).cost
-                else:
-                    alt_cost = _solver_for(other)(sub).cost
-                checked.append(alt_cost)
+                if sub is None:
+                    sub = restrict_profile(profile, comp.issues)
+                checked.append(_solve(other, sub, config.brute_budget).cost)
             if len(set(checked)) > 1:
                 raise InternalMismatch(
                     f"solvers disagree on component {comp.issues}: {checked}"
                 )
-        return route, partial, cost
-
-    threads = config.threads if config.threads is not None else thread_cap()
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, plan))
-    else:
-        results = [run(item) for item in plan]
-
-    assignment = {}
-    component_total = 0
-    routes_used = []
-    for route, partial, cost in results:
-        assignment.update(partial)
         component_total += cost
         if route not in routes_used:
             routes_used.append(route)

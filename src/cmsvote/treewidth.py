@@ -1,29 +1,31 @@
 """Optimal solver for profiles whose ballots condition on at most one issue.
 
-With premise scopes of size <= 1 every (voter, issue) dissatisfaction depends
-on the issue's own value and at most one other issue, so the objective
-decomposes into unary tables per issue and binary tables per global
-dependency edge.  The minimum is then found by dynamic programming over a
-nice tree decomposition of the global dependency graph, in the manner of
-bucket elimination: each cost table is charged once, at the forget node of
-its first vertex to leave the bag, which adds the vertex's unary table and
-its edges into the rest of the bag and then minimizes the vertex out (ties to
-the lowest alternative index).  Introduce nodes broadcast the child table
-over the new axis without copying it, and join nodes add the child tables.
+With premise scopes of size <= 1 every factor table of the profile's cost
+model (``_scan.compile_cost_model``, the compiler the outcome scan uses too)
+spans one issue or the two ends of a global dependency edge.  The minimum is
+then found by dynamic programming over a nice tree decomposition of the
+global dependency graph, in the manner of bucket elimination: each factor is
+charged once, at the forget node of the first of its axes to leave the bag,
+which adds the factor broadcast over the child bag and then minimizes the
+vertex out (ties to the lowest alternative index).  Introduce nodes
+broadcast the child table over the new axis without copying it, and join
+nodes add the child tables.  The bags' table entries are predicted and
+checked against ``MAX_TABLE_ENTRIES`` before the factor tables are compiled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._scan import compile_cost_model
 from .analysis import (
     NiceTreeDecomposition,
     build_global_graph,
     heuristic_tree_decomposition,
     make_nice,
+    max_in_degree,
     verify_decomposition,
 )
 from .errors import (
@@ -41,75 +43,6 @@ from .model import Profile, Solution, make_solution
 MAX_TABLE_ENTRIES = 1 << 27
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """unary[j][a] plus binary[(k, j)][a_k, a_j] dissatisfaction tables, k < j."""
-
-    unary: tuple
-    binary: dict
-
-    def evaluate(self, outcome) -> int:
-        total = sum(int(table[outcome[j]]) for j, table in enumerate(self.unary))
-        total += sum(
-            int(table[outcome[k], outcome[j]]) for (k, j), table in self.binary.items()
-        )
-        return total
-
-
-def compile_cost_model(profile: Profile) -> CostModel:
-    """Split the objective into unary and edge tables; requires scopes <= 1."""
-    dom = profile.domain_sizes()
-    unary = [np.zeros(d, dtype=np.int64) for d in dom]
-    binary = {}
-    for voter in profile.voters:
-        for j, ballot in voter.ballots.items():
-            if len(ballot.scope) > 1:
-                raise DeltaTooLarge(
-                    f"ballot on issue {j} conditions on {len(ballot.scope)} issues"
-                )
-            if not ballot.scope:
-                approved = ballot.statements[()]
-                for a in range(dom[j]):
-                    if a not in approved:
-                        unary[j][a] += 1
-                continue
-            (k,) = ballot.scope
-            lo, hi = min(k, j), max(k, j)
-            table = binary.get((lo, hi))
-            if table is None:
-                table = np.zeros((dom[lo], dom[hi]), dtype=np.int64)
-                binary[(lo, hi)] = table
-            for vk in range(dom[k]):
-                approved = ballot.statements.get((vk,))
-                for vj in range(dom[j]):
-                    if approved is None or vj not in approved:
-                        if k == lo:
-                            table[vk, vj] += 1
-                        else:
-                            table[vj, vk] += 1
-    return CostModel(tuple(unary), binary)
-
-
-def _axis_shape(bag, vertex, dom):
-    return tuple(dom[u] if u == vertex else 1 for u in bag)
-
-
-def _edge_view(model: CostModel, bag, u, v, dom):
-    """The (u, v) edge table broadcast over the bag's axes, or None.
-
-    Bags are sorted, so the lower vertex's axis precedes the higher one and a
-    plain reshape places the table correctly.
-    """
-    lo, hi = min(u, v), max(u, v)
-    table = model.binary.get((lo, hi))
-    if table is None:
-        return None
-    shape = [1] * len(bag)
-    shape[bag.index(lo)] = table.shape[0]
-    shape[bag.index(hi)] = table.shape[1]
-    return table.reshape(shape)
-
-
 def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Solution:
     """Optimal outcome by dynamic programming over a nice tree decomposition.
 
@@ -119,10 +52,17 @@ def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Sol
     O(#nodes * d^(width+1) * (width+1)).  Memory is the tables still waiting
     for their parent plus one argmin table per forget node, in the smallest
     unsigned type that holds the forgotten vertex's alternatives; the
-    traceback reads only those argmins.  Raises BudgetExceeded when the bags
-    would hold more than ``MAX_TABLE_ENTRIES`` table entries in total.
+    traceback reads only those argmins.  Raises DeltaTooLarge when a ballot
+    conditions on more than one issue, and BudgetExceeded, before compiling
+    any factor table, when the bags would hold more than
+    ``MAX_TABLE_ENTRIES`` table entries in total.
     """
-    model = compile_cost_model(profile)
+    delta = max_in_degree(profile)
+    if delta > 1:
+        raise DeltaTooLarge(
+            f"a ballot conditions on {delta} issues; the dynamic program "
+            "takes at most 1"
+        )
     graph = build_global_graph(profile)
     if nice is None:
         nice = make_nice(heuristic_tree_decomposition(graph))
@@ -142,27 +82,40 @@ def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Sol
             f"dynamic program needs {entries} table entries, "
             f"limit is {MAX_TABLE_ENTRIES}"
         )
+    model = compile_cost_model(profile, MAX_TABLE_ENTRIES)
+
+    # A factor's axes form an edge or a single vertex of the graph, so they
+    # are all in the child bag of the forget node of the first one to leave.
+    forget_rank = {
+        node.vertex: rank for rank, node in enumerate(order) if node.kind == "forget"
+    }
+    charges = {}
+    for axes, factor in model.factors:
+        charges.setdefault(min(axes, key=forget_rank.__getitem__), []).append(
+            (axes, factor)
+        )
+
     tables = {}
     choices = {}
     for node in order:
         if node.kind == "leaf":
-            table = np.zeros((), dtype=np.int64)
+            table = np.zeros((), dtype=model.dtype)
         elif node.kind == "introduce":
             pos = node.bag.index(node.vertex)
             table = np.expand_dims(tables.pop(id(node.children[0])), pos)
         elif node.kind == "forget":
             child = node.children[0]
             v = node.vertex
+            table = tables.pop(id(child))
+            # Axes and bags are both ascending, so a reshape that gives the
+            # factor's axes their sizes and every other bag axis size 1
+            # broadcasts it over the child bag.
+            for axes, factor in charges.get(v, ()):
+                shape = [1] * len(child.bag)
+                for u, n in zip(axes, factor.shape):
+                    shape[child.bag.index(u)] = n
+                table = table + factor.reshape(shape)
             pos = child.bag.index(v)
-            table = tables.pop(id(child)) + model.unary[v].reshape(
-                _axis_shape(child.bag, v, dom)
-            )
-            for u in child.bag:
-                if u == v:
-                    continue
-                view = _edge_view(model, child.bag, u, v, dom)
-                if view is not None:
-                    table = table + view
             choices[id(node)] = table.argmin(axis=pos).astype(
                 np.min_scalar_type(dom[v] - 1)
             )

@@ -132,12 +132,12 @@ def naive_restrict_profile(profile, issues):
 def naive_treewidth_outcome(profile):
     """Outcome of a DP that keeps every full bag table for the traceback.
 
-    Introduce nodes add the new vertex's unary table and its edges into the
-    bag, join nodes add both children and subtract the bag's own tables,
-    which both branches counted, and the traceback re-minimizes each forget
-    node's child table (ties to the lowest alternative index).
+    Introduce nodes add the factors that involve the new vertex and lie
+    within the bag, join nodes add both children and subtract the bag's own
+    factors, which both branches counted, and the traceback re-minimizes
+    each forget node's child table (ties to the lowest alternative index).
     """
-    model = compile_cost_model(profile)
+    model = compile_cost_model(profile, budget=10**7)
     nice = make_nice(heuristic_tree_decomposition(build_global_graph(profile)))
     dom = profile.domain_sizes()
 
@@ -148,14 +148,11 @@ def naive_treewidth_outcome(profile):
         return table.reshape(shape)
 
     def local_cost(bag, new):
-        """Tables of ``bag`` that involve ``new``, or all of them if None."""
+        """Factors within ``bag`` that involve ``new``, or all of them if None."""
         total = np.zeros(tuple(dom[u] for u in bag), dtype=np.int64)
-        for u in bag:
-            if new in (None, u):
-                total = total + bag_view(bag, model.unary[u], (u,))
-        for (k, j), table in model.binary.items():
-            if k in bag and j in bag and new in (None, k, j):
-                total = total + bag_view(bag, table, (k, j))
+        for axes, table in model.factors:
+            if set(axes) <= set(bag) and new in (None, *axes):
+                total = total + bag_view(bag, table, axes)
         return total
 
     tables = {}

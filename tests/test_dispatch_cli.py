@@ -104,23 +104,6 @@ class TestDispatch:
         plain = solve_profile(profile)
         assert checked.cost == plain.cost
 
-    def test_thread_pool_path_is_equivalent(self):
-        profile = multi_component_profile()
-        serial = solve_profile(profile, SolveConfig(threads=1))
-        parallel = solve_profile(profile, SolveConfig(threads=4))
-        assert serial.cost == parallel.cost
-        assert serial.outcome == parallel.outcome
-
-    def test_threads_env_var(self, monkeypatch):
-        profile = multi_component_profile()
-        monkeypatch.setenv("CMS_THREADS", "3")
-        via_env = solve_profile(profile)
-        monkeypatch.setenv("CMS_THREADS", "nope")
-        with pytest.raises(ValueError):
-            solve_profile(profile)
-        monkeypatch.delenv("CMS_THREADS")
-        assert via_env.outcome == solve_profile(profile).outcome
-
     def test_intractable_instance(self):
         with pytest.raises(Intractable) as err:
             solve_profile(intractable_chain_profile())

@@ -26,7 +26,7 @@ BLOCKS = (1, 5, 7, 64, _scan.BLOCK)
 
 
 def scan(profile, block):
-    compiled = _scan.compile_evaluator(profile, budget=10**7)
+    compiled = _scan.compile_cost_model(profile, budget=10**7)
     cost, index = _scan.scan_best(compiled, block)
     return cost, _scan.decode_outcome(compiled, index)
 
@@ -52,11 +52,17 @@ class TestScan:
                 assert scan(profile, block) == expected, (seed, block)
 
     def test_factor_tables_sum_to_every_outcome_cost(self):
-        for seed in range(20):
-            profile = gen_random(
-                5, 6, d_max=3, delta_max=3, statement_density=0.7, seed=seed
-            )
-            compiled = _scan.compile_evaluator(profile, budget=10**7)
+        # 20 profiles with scopes up to 3, then 200 with single-premise scopes
+        # as the tree-decomposition solver takes them.
+        profiles = [
+            gen_random(5, 6, d_max=3, delta_max=3, statement_density=0.7, seed=seed)
+            for seed in range(20)
+        ] + [
+            gen_random(5, 4, d_max=3, delta_max=1, statement_density=0.6, seed=seed)
+            for seed in range(200)
+        ]
+        for profile in profiles:
+            compiled = _scan.compile_cost_model(profile, budget=10**7)
             assert len({axes for axes, _ in compiled.factors}) == len(compiled.factors)
             for outcome in itertools.product(*map(range, profile.domain_sizes())):
                 cost = sum(
@@ -74,7 +80,7 @@ class TestScan:
                 ("w", [issue_ballot(0, (1, 2), {(0, 1): {0}, (1, 1): {1}})]),
             ],
         )
-        compiled = _scan.compile_evaluator(profile, budget=10**7)
+        compiled = _scan.compile_cost_model(profile, budget=10**7)
         [(axes, table)] = compiled.factors
         assert axes == (0, 1, 2)
         for outcome in itertools.product((0, 1), repeat=3):
@@ -89,7 +95,7 @@ class TestScan:
         profile = make_profile(
             binary_issues(2), [(f"v{i}", [approve(0, {1})]) for i in range(n_pairs)]
         )
-        compiled = _scan.compile_evaluator(profile, budget=10**7)
+        compiled = _scan.compile_cost_model(profile, budget=10**7)
         assert compiled.n_pairs == n_pairs
         [(axes, table)] = compiled.factors
         assert axes == (0,) and table.tolist() == [n_pairs, 0]
@@ -125,7 +131,7 @@ class TestScan:
         # 2^40 outcomes: only the early exit lets this finish.  The leading
         # 22 axes index the blocks, so issue 21 = 1 is the second block.
         profile = make_profile(binary_issues(40), [("v", [approve(21, {1})])])
-        compiled = _scan.compile_evaluator(profile, budget=10**7)
+        compiled = _scan.compile_cost_model(profile, budget=10**7)
         assert _scan.scan_best(compiled) == (0, _scan.BLOCK)
         outcome = _scan.decode_outcome(compiled, _scan.BLOCK)
         assert outcome == tuple(int(j == 21) for j in range(40))
@@ -153,7 +159,7 @@ class TestScan:
     def test_empty_outcome_space(self):
         profile = make_profile([("A", ())], [("v", [])])
         with pytest.raises(ValueError):
-            _scan.scan_best(_scan.compile_evaluator(profile, budget=10))
+            _scan.scan_best(_scan.compile_cost_model(profile, budget=10))
 
 
 class TestDinic:

@@ -89,15 +89,15 @@ def mirror_joins(nice):
 
 class TestCostModel:
     def test_p1_tables(self):
-        model = compile_cost_model(build_p1())
-        assert model.unary[0].tolist() == [1, 1]
-        assert model.unary[1].tolist() == [0, 1]
-        assert model.binary[(0, 1)].tolist() == [[0, 1], [1, 0]]
+        model = compile_cost_model(build_p1(), budget=10**7)
+        tables = {axes: table.tolist() for axes, table in model.factors}
+        assert tables == {(0,): [1, 1], (1,): [0, 1], (0, 1): [[0, 1], [1, 0]]}
 
     def test_all_unconditional_has_no_edge_tables(self):
         profile = gen_random(4, 3, d_max=3, delta_max=0, statement_density=0.7, seed=2)
-        model = compile_cost_model(profile)
-        assert model.binary == {}
+        model = compile_cost_model(profile, budget=10**7)
+        assert model.factors
+        assert all(len(axes) == 1 for axes, _ in model.factors)
 
     def test_opposite_direction_edges_share_one_table(self):
         profile = make_profile(
@@ -107,28 +107,19 @@ class TestCostModel:
                 ("w", [issue_ballot(0, (1,), {(0,): {0}, (1,): {1}})]),
             ],
         )
-        model = compile_cost_model(profile)
-        assert list(model.binary) == [(0, 1)]
-        assert model.binary[(0, 1)].tolist() == [[0, 2], [2, 0]]
-
-    def test_model_evaluates_to_total_dissatisfaction(self):
-        rng = random.Random(0)
-        for seed in range(200):
-            profile = gen_random(
-                5, 4, d_max=3, delta_max=1, statement_density=0.6, seed=seed
-            )
-            model = compile_cost_model(profile)
-            dom = profile.domain_sizes()
-            outcome = tuple(rng.randrange(d) for d in dom)
-            assert model.evaluate(outcome) == total_dissatisfaction(profile, outcome)
+        model = compile_cost_model(profile, budget=10**7)
+        [(axes, table)] = model.factors
+        assert axes == (0, 1)
+        assert table.tolist() == [[0, 2], [2, 0]]
 
     def test_rejects_wide_scopes(self):
+        # The compiler takes factors of any arity; the dynamic program does not.
         profile = make_profile(
             [("A", ("0", "1")), ("B", ("0", "1")), ("C", ("0", "1"))],
             [("v", [issue_ballot(2, (0, 1), {(0, 0): {0}})])],
         )
-        with pytest.raises(DeltaTooLarge):
-            compile_cost_model(profile)
+        [(axes, table)] = compile_cost_model(profile, budget=10**7).factors
+        assert axes == (0, 1, 2) and table.shape == (2, 2, 2)
         with pytest.raises(DeltaTooLarge):
             solve_treewidth(profile)
 
@@ -235,20 +226,30 @@ class TestOutcomeIdentity:
 
 
 class TestTableLimit:
-    # The 7 x 7 grid of 8-alternative issues routes TREEWIDTH at width 8, and
-    # its nice decomposition needs about 1.02e9 table entries (7.6 GiB).
     def test_oversized_tables_fail_before_allocation(self):
-        profile = agreement_grid(7, 8)
-        assert [c.route for c in classify(profile).components] == ["TREEWIDTH"]
+        # The 7 x 7 grid of 8-alternative issues routes TREEWIDTH at width 8,
+        # and its nice decomposition needs about 1.02e9 table entries
+        # (7.6 GiB).  Two 12,000-alternative issues joined by one ballot need
+        # 1.44e8, and their edge factor alone would take 576 MB: the bags
+        # are checked before any factor table is compiled.
+        grid = agreement_grid(7, 8)
+        assert [c.route for c in classify(grid).components] == ["TREEWIDTH"]
+        wide = tuple(str(a) for a in range(12_000))
+        pair = make_profile(
+            [("A", wide), ("B", wide)],
+            [("v", [issue_ballot(1, (0,), {(0,): {0}})])],
+        )
+        cases = ((grid, 10, 100 * 2**20), (pair, 1, 10 * 2**20))
+        for profile, seconds, peak_bytes in cases:
 
-        def attempt():
-            with pytest.raises(BudgetExceeded, match="table entries"):
-                solve_treewidth(profile)
+            def attempt():
+                with pytest.raises(BudgetExceeded, match="table entries"):
+                    solve_treewidth(profile)
 
-        start = time.perf_counter()
-        _, peak = traced_peak(attempt)
-        assert time.perf_counter() - start < 10
-        assert peak < 100 * 2**20
+            start = time.perf_counter()
+            _, peak = traced_peak(attempt)
+            assert time.perf_counter() - start < seconds
+            assert peak < peak_bytes
 
     def test_cli_solve_exits_3(self, tmp_path, capsys):
         path = tmp_path / "grid.profile"
