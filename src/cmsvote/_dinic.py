@@ -12,8 +12,6 @@ every maximum flow.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class ArcListBuilder:
     """Accumulates directed arcs; ``done`` freezes them into flat arrays."""
@@ -33,6 +31,8 @@ class ArcListBuilder:
             self.cap.append(c)
 
     def done(self):
+        import numpy as np
+
         return (
             np.asarray(self.head, dtype=np.int64),
             np.asarray(self.nxt, dtype=np.int64),
@@ -43,6 +43,8 @@ class ArcListBuilder:
 
 def max_flow(n, source, sink, head, nxt, to, cap):
     """(flow value, residual source-side boolean array)."""
+    import numpy as np
+
     head = head.tolist()
     nxt = nxt.tolist()
     to = to.tolist()

@@ -28,6 +28,10 @@ zero block, whose flat C-order ``argmin`` is the first minimizer within it.
 A block's minimum replaces the best so far only when strictly smaller, so
 the scan returns the lexicographically first minimizing outcome, and it
 stops early once the best cost is 0.
+
+numpy is imported inside the functions that use it, as in the other
+kernels, so that importing the package (and ``cmsvote analyze``) does not
+load it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetExceeded
 from .model import Profile
@@ -64,6 +66,8 @@ class CostModel:
 
 def _count_dtype(n_pairs: int) -> type:
     """Integer type that holds every count from 0 up to n_pairs."""
+    import numpy as np
+
     return np.int32 if n_pairs < 2**31 else np.int64
 
 
@@ -73,6 +77,8 @@ def compile_cost_model(profile: Profile, budget: int) -> CostModel:
     Raises BudgetExceeded, before allocating any table, when the tables would
     hold more than ``budget`` entries in total.
     """
+    import numpy as np
+
     dom = profile.domain_sizes()
     m = profile.m
     strides = []
@@ -139,6 +145,8 @@ def decode_outcome(compiled: CostModel, index: int) -> tuple:
 
 def scan_best(compiled: CostModel, block: int = BLOCK):
     """(cost, index) of the lexicographically first minimizing outcome."""
+    import numpy as np
+
     if compiled.total == 0:
         raise ValueError("empty outcome space")
     dom, m = compiled.dom, compiled.m

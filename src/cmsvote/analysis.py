@@ -327,16 +327,23 @@ def _ballot_dichotomy_witness(voter: int, ballot, dom):
 def vertex_cover_number(graph, k_max: int) -> Optional[int]:
     """Exact minimum vertex cover size if it is at most ``k_max``, else None.
 
-    Bounded search tree: branch on both endpoints of the lexicographically
-    smallest uncovered edge, O(2^k_max * (V + E)).  Before branching, any
-    vertex with more than k remaining-budget neighbors is forced into the
-    cover (a smaller cover would need all its neighbors), and more than k^2
-    leftover edges cannot be covered at all; this keeps the branching input
-    tiny regardless of graph size.
+    The minimum cover of a graph is the sum of its connected components'
+    minimum covers, so the edges are split into components first and each
+    is searched with the budget the earlier ones left; the answer is None
+    as soon as one component does not fit.  Within a component a bounded
+    search tree branches on a highest-degree vertex and one neighbor of it.
+    Before branching, three exact reductions apply: a degree-1 vertex puts
+    its only neighbor into the cover (some minimum cover contains it), any
+    vertex with more than budget neighbors is forced into the cover (a
+    smaller cover would need all its neighbors), and more than budget^2
+    leftover edges cannot be covered at all.  Every step puts a vertex of
+    the component into the cover, so a component of V_c vertices and E_c
+    edges costs O(2^d * E_c) with d = min(V_c, budget left): the search is
+    exponential in one component's size at most, never in the whole graph,
+    and a forest, where the leaf rule always applies, takes O(V_c * E_c).
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    edges = sorted(tuple(sorted(e)) for e in graph.edges)
 
     def search(remaining, budget):
         if not remaining:
@@ -347,6 +354,13 @@ def vertex_cover_number(graph, k_max: int) -> Optional[int]:
         for u, v in remaining:
             degree[u] = degree.get(u, 0) + 1
             degree[v] = degree.get(v, 0) + 1
+        leaves = [v for v, d in degree.items() if d == 1]
+        if leaves:
+            # some minimum cover contains the leaf's only neighbor
+            leaf = min(leaves)
+            w = next(v for e in remaining if leaf in e for v in e if v != leaf)
+            sub = search([e for e in remaining if w not in e], budget - 1)
+            return None if sub is None else 1 + sub
         heavy = sorted(v for v, d in degree.items() if d > budget)
         if heavy:
             # any cover within budget must contain this vertex
@@ -368,7 +382,37 @@ def vertex_cover_number(graph, k_max: int) -> Optional[int]:
                 best = 1 + sub
         return best
 
-    return search(edges, k_max)
+    total = 0
+    for edges in _edge_components(graph.edges):
+        size = search(edges, k_max - total)
+        if size is None:
+            return None
+        total += size
+    return total
+
+
+def _edge_components(edges) -> list:
+    """Undirected edges as sorted (min, max) pairs, grouped by connected component."""
+    pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    adj = {}
+    for u, v in pairs:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    root = {}
+    for start in adj:
+        if start in root:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in root:
+                    root[w] = start
+                    stack.append(w)
+    groups = {}
+    for e in pairs:
+        groups.setdefault(root[e[0]], []).append(e)
+    return list(groups.values())
 
 
 def _min_fill_run(graph: UndirectedGraph, width_cap=None):

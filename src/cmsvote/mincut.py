@@ -11,14 +11,15 @@ would signal a bug in the reduction or the flow kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import _dinic
 from .analysis import is_group_dichotomous
 from .errors import InternalMismatch, NotGroupDichotomous
 from .model import Profile, Solution, make_solution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,8 @@ def build_network(constraints, n_vars: int) -> FlowNetwork:
 
 def max_flow_min_cut(network: FlowNetwork):
     """Exact max flow value (= min cut) and the residual source-side node set."""
+    import numpy as np
+
     flow, side = _dinic.max_flow(
         network.n_nodes,
         network.source,

@@ -18,13 +18,15 @@ Representation notes:
 - Ballots are stored sparsely: an issue absent from a voter's ballot map is
   an unconditional approve-everything ballot.  ``make_profile`` canonicalizes
   explicit approve-all entries away so structural equality is meaningful.
-- All types are immutable after construction and every operation is a pure
-  function, so concurrent use needs no locking.  ``Profile`` relies on this
-  to cache derived facts on first use: the domain sizes and a per-issue index
-  of the explicit ballots (``ballots_by_issue``), which lets per-issue work
-  such as splitting off a component or counting approvals skip the voters
-  without a ballot there.  Mutating a voter's ballot dict after the index is
-  read leaves the index stale.
+- All types are frozen dataclasses, and their dict fields (a voter's
+  ballots, a ballot's statements) are plain dicts treated as read-only.
+  Every operation is a pure function, so concurrent use needs no locking.
+  ``Profile`` relies on this to cache derived facts on first use: the
+  domain sizes and a per-issue index of the explicit ballots
+  (``ballots_by_issue``), which lets per-issue work such as splitting off a
+  component or counting approvals skip the voters without a ballot there.
+  Mutating a voter's ballot dict after the index is read leaves the index
+  stale.
 """
 
 from __future__ import annotations

@@ -40,11 +40,14 @@ import warnings
 
 from .errors import ParseError
 from .generators import CnfFormula, ColoredGraph, CspInstance
-from .model import Profile, Solution, issue_ballot, make_profile
+from .model import IssueBallot, Profile, Solution, make_profile
 
 
 class FormatWarning(UserWarning):
     """Recoverable oddity in an input document (e.g. duplicate premise)."""
+
+
+_COND_SYNTAX = "expected 'cond <target> if <issue>=<alt>,... then <alt>+'"
 
 
 def _rows(text):
@@ -74,7 +77,13 @@ class _Cursor:
 
 
 def parse_profile(text: str) -> Profile:
-    """Parse a profile document; raises ParseError with a line number."""
+    """Parse a profile document; raises ParseError with a line number.
+
+    Ballots are assembled canonical while the lines are read (sorted scope,
+    aligned premises, merged duplicates), so each equals what
+    ``issue_ballot`` would build from the same statements without a second
+    pass over them.
+    """
     cur = _Cursor(text)
     ln, tokens = cur.take("'cmsprofile 1' header")
     if tokens != ["cmsprofile", "1"]:
@@ -112,19 +121,29 @@ def parse_profile(text: str) -> Profile:
     if n < 1:
         raise ParseError(ln, "profiles need at least one voter")
 
-    def resolve_issue(ln, name):
-        if name not in issue_index:
-            raise ParseError(ln, f"unknown issue {name!r}")
-        return issue_index[name]
-
-    def resolve_alt(ln, j, name):
+    def unknown_alternative(ln, j, names):
         table = alt_index[j]
-        if name not in table:
-            raise ParseError(
-                ln, f"unknown alternative {name!r} for issue {issues[j][0]!r}"
-            )
-        return table[name]
+        name = next(a for a in names if a not in table)
+        return ParseError(ln, f"unknown alternative {name!r} for issue {issues[j][0]!r}")
 
+    def conditional_draft(drafts, ln, target, j, scope):
+        """The target's draft for a cond or depends line over ``scope``."""
+        if len(set(scope)) != len(scope):
+            raise ParseError(ln, "premise repeats an issue")
+        if j in scope:
+            raise ParseError(ln, f"self-premise: {target!r} conditions on itself")
+        draft = drafts.get(j)
+        if draft is None:
+            draft = drafts[j] = (scope, {})
+        elif not draft[0]:
+            raise ParseError(ln, f"issue {target!r} already has an approval line")
+        elif draft[0] != scope:
+            raise ParseError(
+                ln, f"inconsistent scope for issue {target!r}: saw {draft[0]} before"
+            )
+        return draft
+
+    rows = cur.rows
     voters = []
     voter_names = set()
     for _ in range(n):
@@ -136,128 +155,109 @@ def parse_profile(text: str) -> Profile:
             raise ParseError(ln, f"voter name {voter_name!r} already used")
         voter_names.add(voter_name)
 
-        drafts = {}  # target -> dict(mode, scope, statements)
-
-        def draft_for(target):
-            if target not in drafts:
-                drafts[target] = {"mode": None, "scope": None, "statements": {}}
-            return drafts[target]
-
+        # target -> (scope, statements), canonical as read: the scope is
+        # sorted, each premise follows it and repeated lines merge into one
+        # approval set.  Only approve lines have the empty scope.
+        drafts = {}
+        pos = cur.pos
         while True:
-            ln, tokens = cur.take("a ballot line or 'end'")
+            if pos == len(rows):
+                raise ParseError(
+                    rows[-1][0], "unexpected end of document, expected a ballot line or 'end'"
+                )
+            ln, tokens = rows[pos]
+            pos += 1
             kind = tokens[0]
-            if kind == "end":
-                if len(tokens) != 1:
-                    raise ParseError(ln, "'end' takes no arguments")
-                break
-            if kind == "approve":
-                if len(tokens) < 3:
-                    raise ParseError(ln, "expected 'approve <issue> <alt>+'")
-                j = resolve_issue(ln, tokens[1])
-                draft = draft_for(j)
-                if draft["mode"] == "cond":
-                    raise ParseError(
-                        ln, f"issue {tokens[1]!r} already has conditional lines"
-                    )
-                approved = frozenset(resolve_alt(ln, j, a) for a in tokens[2:])
-                if draft["mode"] == "approve":
-                    warnings.warn(
-                        f"line {ln}: duplicate approval for issue {tokens[1]!r} merged",
-                        FormatWarning,
-                        stacklevel=2,
-                    )
-                    approved = approved | draft["statements"][()]
-                draft["mode"] = "approve"
-                draft["scope"] = ()
-                draft["statements"][()] = approved
-            elif kind == "cond":
+            if kind == "cond":
                 if len(tokens) < 6 or tokens[2] != "if":
-                    raise ParseError(
-                        ln,
-                        "expected 'cond <target> if <issue>=<alt>,... then <alt>+'",
-                    )
-                j = resolve_issue(ln, tokens[1])
+                    raise ParseError(ln, _COND_SYNTAX)
+                target = tokens[1]
+                j = issue_index.get(target)
+                if j is None:
+                    raise ParseError(ln, f"unknown issue {target!r}")
                 try:
                     then_at = tokens.index("then", 3)
                 except ValueError:
-                    raise ParseError(
-                        ln,
-                        "expected 'cond <target> if <issue>=<alt>,... then <alt>+'",
-                    )
+                    raise ParseError(ln, _COND_SYNTAX)
                 premise_text = "".join(tokens[3:then_at])
                 alt_tokens = tokens[then_at + 1 :]
                 if not premise_text or not alt_tokens:
                     raise ParseError(ln, "conditional lines need a premise and alternatives")
                 pairs = []
                 for part in premise_text.split(","):
-                    if part.count("=") != 1:
+                    issue_name, eq, alt_name = part.partition("=")
+                    if not eq or "=" in alt_name:
                         raise ParseError(ln, f"malformed premise entry {part!r}")
-                    issue_name, alt_name = part.split("=")
-                    k = resolve_issue(ln, issue_name)
-                    pairs.append((k, resolve_alt(ln, k, alt_name)))
-                premise_issues = [k for k, _ in pairs]
-                if len(set(premise_issues)) != len(premise_issues):
-                    raise ParseError(ln, "premise repeats an issue")
-                if j in premise_issues:
-                    raise ParseError(
-                        ln, f"self-premise: {tokens[1]!r} conditions on itself"
-                    )
-                scope = tuple(sorted(premise_issues))
-                draft = draft_for(j)
-                if draft["mode"] == "approve":
-                    raise ParseError(
-                        ln, f"issue {tokens[1]!r} already has an approval line"
-                    )
-                if draft["scope"] is not None and draft["scope"] != scope:
-                    raise ParseError(
-                        ln,
-                        f"inconsistent scope for issue {tokens[1]!r}: "
-                        f"saw {draft['scope']} before",
-                    )
-                draft["mode"] = "cond"
-                draft["scope"] = scope
-                by_issue = dict(pairs)
-                premise = tuple(by_issue[k] for k in scope)
-                approved = frozenset(resolve_alt(ln, j, a) for a in alt_tokens)
-                if premise in draft["statements"]:
+                    k = issue_index.get(issue_name)
+                    if k is None:
+                        raise ParseError(ln, f"unknown issue {issue_name!r}")
+                    v = alt_index[k].get(alt_name)
+                    if v is None:
+                        raise unknown_alternative(ln, k, (alt_name,))
+                    pairs.append((k, v))
+                pairs.sort()
+                scope, premise = zip(*pairs)
+                statements = conditional_draft(drafts, ln, target, j, scope)[1]
+                table = alt_index[j]
+                try:
+                    approved = frozenset([table[a] for a in alt_tokens])
+                except KeyError:
+                    raise unknown_alternative(ln, j, alt_tokens) from None
+                if premise in statements:
                     warnings.warn(
-                        f"line {ln}: duplicate premise for issue {tokens[1]!r} merged",
+                        f"line {ln}: duplicate premise for issue {target!r} merged",
                         FormatWarning,
                         stacklevel=2,
                     )
-                    approved = approved | draft["statements"][premise]
-                draft["statements"][premise] = approved
+                    approved = approved | statements[premise]
+                statements[premise] = approved
+            elif kind == "approve":
+                if len(tokens) < 3:
+                    raise ParseError(ln, "expected 'approve <issue> <alt>+'")
+                target = tokens[1]
+                j = issue_index.get(target)
+                if j is None:
+                    raise ParseError(ln, f"unknown issue {target!r}")
+                draft = drafts.get(j)
+                if draft is not None and draft[0]:
+                    raise ParseError(ln, f"issue {target!r} already has conditional lines")
+                table = alt_index[j]
+                try:
+                    approved = frozenset([table[a] for a in tokens[2:]])
+                except KeyError:
+                    raise unknown_alternative(ln, j, tokens[2:]) from None
+                if draft is None:
+                    drafts[j] = ((), {(): approved})
+                else:
+                    warnings.warn(
+                        f"line {ln}: duplicate approval for issue {target!r} merged",
+                        FormatWarning,
+                        stacklevel=2,
+                    )
+                    draft[1][()] = approved | draft[1][()]
+            elif kind == "end":
+                if len(tokens) != 1:
+                    raise ParseError(ln, "'end' takes no arguments")
+                break
             elif kind == "depends":
                 if len(tokens) < 4 or tokens[2] != "on":
                     raise ParseError(ln, "expected 'depends <target> on <issue>+'")
-                j = resolve_issue(ln, tokens[1])
-                members = [resolve_issue(ln, name) for name in tokens[3:]]
-                if len(set(members)) != len(members):
-                    raise ParseError(ln, "premise repeats an issue")
-                if j in members:
-                    raise ParseError(
-                        ln, f"self-premise: {tokens[1]!r} conditions on itself"
-                    )
-                scope = tuple(sorted(members))
-                draft = draft_for(j)
-                if draft["mode"] == "approve":
-                    raise ParseError(
-                        ln, f"issue {tokens[1]!r} already has an approval line"
-                    )
-                if draft["scope"] is not None and draft["scope"] != scope:
-                    raise ParseError(
-                        ln,
-                        f"inconsistent scope for issue {tokens[1]!r}: "
-                        f"saw {draft['scope']} before",
-                    )
-                draft["mode"] = "cond"
-                draft["scope"] = scope
+                target = tokens[1]
+                j = issue_index.get(target)
+                if j is None:
+                    raise ParseError(ln, f"unknown issue {target!r}")
+                members = []
+                for name in tokens[3:]:
+                    k = issue_index.get(name)
+                    if k is None:
+                        raise ParseError(ln, f"unknown issue {name!r}")
+                    members.append(k)
+                conditional_draft(drafts, ln, target, j, tuple(sorted(members)))
             else:
                 raise ParseError(ln, f"unknown directive {kind!r}")
-
+        cur.pos = pos
         ballots = [
-            issue_ballot(j, draft["scope"], draft["statements"])
-            for j, draft in drafts.items()
+            IssueBallot(j, scope, statements) for j, (scope, statements) in drafts.items()
         ]
         voters.append((voter_name, ballots))
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ._scan import compile_cost_model
 from .analysis import (
     NiceTreeDecomposition,
@@ -57,6 +55,8 @@ def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Sol
     any factor table, when the bags would hold more than
     ``MAX_TABLE_ENTRIES`` table entries in total.
     """
+    import numpy as np
+
     delta = max_in_degree(profile)
     if delta > 1:
         raise DeltaTooLarge(

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the code paths they are used to check:
 ``naive_optimum`` enumerates outcomes with itertools against the dict-based
 ballot semantics (never touching the scan kernels), satisfiability checks
 enumerate assignments of the source problems directly, the vertex cover
-oracle tries every subset, the component split and majority count scan
-every voter instead of reading the profile's per-issue ballot index, and the
+oracle tries every subset, the capped-cover reference
+``naive_vertex_cover_number`` searches the whole graph without the component
+split or the leaf rule, the component split and majority count scan every
+voter instead of reading the profile's per-issue ballot index, and the
 tree-decomposition reference keeps every full DP table for its traceback.
 """
 
@@ -341,3 +343,43 @@ def exhaustive_min_violations(constraints, n_vars: int) -> int:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def naive_vertex_cover_number(graph: UndirectedGraph, k_max: int):
+    """``vertex_cover_number``'s bounded search run on the whole graph at
+    once, without the component split or the leaf rule."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    edges = sorted(tuple(sorted(e)) for e in graph.edges)
+
+    def search(remaining, budget):
+        if not remaining:
+            return 0
+        if budget <= 0:
+            return None
+        degree = {}
+        for u, v in remaining:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        heavy = sorted(v for v, d in degree.items() if d > budget)
+        if heavy:
+            # any cover within budget must contain this vertex
+            w = heavy[0]
+            sub = search([e for e in remaining if w not in e], budget - 1)
+            return None if sub is None else 1 + sub
+        if len(remaining) > budget * budget:
+            return None  # budget vertices of degree <= budget cover too little
+        w = min(degree, key=lambda v: (-degree[v], v))
+        partner = min(v for e in remaining if w in e for v in e if v != w)
+        best = None
+        sub = search([e for e in remaining if w not in e], budget - 1)
+        if sub is not None:
+            best = 1 + sub
+        cap = budget - 1 if best is None else best - 2
+        if cap >= 0:
+            sub = search([e for e in remaining if partner not in e], cap)
+            if sub is not None and (best is None or 1 + sub < best):
+                best = 1 + sub
+        return best
+
+    return search(edges, k_max)

@@ -25,7 +25,12 @@ from cmsvote import (
 from cmsvote.analysis import VC_REPORT_CAP, TreeDecomposition, UndirectedGraph
 from cmsvote.model import approve, issue_ballot, make_profile
 
-from helpers import build_p1, exhaustive_vertex_cover, random_undirected_graph
+from helpers import (
+    build_p1,
+    exhaustive_vertex_cover,
+    naive_vertex_cover_number,
+    random_undirected_graph,
+)
 
 
 def triangle():
@@ -34,6 +39,32 @@ def triangle():
 
 def path(n):
     return UndirectedGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def star(leaves):
+    return UndirectedGraph(leaves + 1, frozenset((0, t) for t in range(1, leaves + 1)))
+
+
+def complete(n):
+    return UndirectedGraph(n, frozenset(itertools.combinations(range(n), 2)))
+
+
+def random_forest(rng, n):
+    """Each vertex after the first hangs off an earlier one, or starts a tree."""
+    edges = frozenset(
+        (rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8
+    )
+    return UndirectedGraph(n, edges)
+
+
+def disjoint_union(graphs):
+    """The graphs side by side, each one's vertex ids shifted past the last."""
+    edges = set()
+    offset = 0
+    for graph in graphs:
+        edges.update((u + offset, v + offset) for u, v in graph.edges)
+        offset += graph.n
+    return UndirectedGraph(offset, frozenset(edges))
 
 
 def grid_graph(rho):
@@ -149,11 +180,42 @@ class TestVertexCover:
         assert vertex_cover_number(grid_graph(3), 3) is None
 
     def test_matches_exhaustive_search(self):
-        for seed in range(30):
-            rng = random.Random(seed)
-            graph = random_undirected_graph(rng, rng.randint(2, 8), 0.4)
-            expected = exhaustive_vertex_cover(graph)
-            assert vertex_cover_number(graph, graph.n) == expected
+        # None exactly when the exhaustive cover exceeds the bound, at every
+        # bound; forests, several components, isolated vertices and stars.
+        shapes = {
+            "random": lambda rng: random_undirected_graph(
+                rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7])
+            ),
+            "forest": lambda rng: random_forest(rng, rng.randint(1, 11)),
+            "components": lambda rng: disjoint_union(
+                [random_undirected_graph(rng, rng.randint(1, 4), 0.6) for _ in range(3)]
+                + [random_forest(rng, rng.randint(1, 4))]
+            ),
+            "stars": lambda rng: disjoint_union(
+                [star(rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
+            ),
+        }
+        for shape, make in shapes.items():
+            for seed in range(60):
+                graph = make(random.Random(seed))
+                expected = exhaustive_vertex_cover(graph)
+                for k_max in range(graph.n + 2):
+                    want = expected if expected <= k_max else None
+                    assert vertex_cover_number(graph, k_max) == want, (shape, seed, k_max)
+
+    def test_components_share_one_budget(self):
+        # K8 needs 7 cover vertices and K7 needs 6: 13 in all
+        for sizes in ((8, 7), (7, 8)):
+            graph = disjoint_union([complete(size) for size in sizes])
+            assert vertex_cover_number(graph, 12) is None
+            assert vertex_cover_number(graph, 13) == 13
+            assert vertex_cover_number(graph, 20) == 13
+        assert vertex_cover_number(complete(8), 6) is None
+        assert vertex_cover_number(complete(8), 7) == 7
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            vertex_cover_number(triangle(), -1)
 
 
 class TestTreeDecomposition:
@@ -342,6 +404,31 @@ class TestClassify:
                 direct.append(vertex_cover_number(graph, VC_REPORT_CAP))
             assert report.per_voter_vertex_cover == tuple(direct)
         assert classify(profiles[2]).per_voter_vertex_cover == (None, 2)
+
+    def test_covers_match_the_unsplit_search(self):
+        # group-dichotomous or not, delta 1-3; 16 voters exceed the cap
+        exceeding = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            profile = gen_random(
+                rng.randint(6, 36),
+                rng.randint(2, 5),
+                d_max=3,
+                delta_max=1 + seed % 3,
+                statement_density=rng.choice([0.2, 0.4, 0.7]),
+                seed=seed,
+                group_dichotomous=seed % 2 == 0,
+            )
+            expected = []
+            for i in range(profile.n):
+                edges = build_voter_graph(profile, i).edges
+                graph = UndirectedGraph(
+                    profile.m, frozenset((min(u, v), max(u, v)) for u, v in edges)
+                )
+                expected.append(naive_vertex_cover_number(graph, VC_REPORT_CAP))
+            assert classify(profile).per_voter_vertex_cover == tuple(expected), seed
+            exceeding += expected.count(None)
+        assert exceeding > 0
 
     def test_report_equality_ignores_profile_reference(self):
         assert classify(build_p1()) == classify(build_p1())

@@ -152,7 +152,8 @@ class TestScan:
         def no_tables(*args, **kwargs):
             raise AssertionError("a factor table was allocated")
 
-        monkeypatch.setattr(_scan.np, "full", no_tables)
+        # the compiler imports numpy inside the function: patch numpy itself
+        monkeypatch.setattr(np, "full", no_tables)
         with pytest.raises(BudgetExceeded, match="need 26 entries"):
             solve_brute(profile, budget=25)
 
@@ -205,3 +206,20 @@ def test_import_loads_neither_numba_nor_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["0 0", ""]
+
+
+def test_parse_and_analyze_do_not_load_numpy():
+    code = (
+        "import sys, cmsvote;"
+        "doc = cmsvote.serialize_profile(cmsvote.gen_random(12, 6, d_max=3, delta_max=2, seed=5));"
+        "report = cmsvote.classify(cmsvote.parse_profile(doc));"
+        "print(report.to_text().splitlines()[0]);"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("issues in ")
+    assert lines[1] == "False"

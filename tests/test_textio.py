@@ -1,3 +1,6 @@
+import random
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,49 @@ from cmsvote.model import issue_ballot, make_profile
 from cmsvote.textio import FormatWarning
 
 from helpers import P1_DOC, build_p1
+
+
+def _split(rng, approved):
+    """The approval set as one or two overlapping nonempty parts."""
+    values = sorted(approved)
+    if len(values) < 2 or rng.random() < 0.5:
+        return [values]
+    cut = rng.randint(1, len(values) - 1)
+    return [values[:cut], values[cut - 1 :]]
+
+
+def scrambled_document(profile, rng):
+    names = [issue.name for issue in profile.issues]
+    alts = [issue.alternatives for issue in profile.issues]
+    lines = ["cmsprofile 1", f"issues {profile.m}"]
+    lines += [f"issue {name} " + " ".join(alts[j]) for j, name in enumerate(names)]
+    lines.append(f"voters {profile.n}")
+    for voter in profile.voters:
+        body = []
+        for j, ballot in voter.ballots.items():
+            if not ballot.scope:
+                for part in _split(rng, ballot.statements[()]):
+                    body.append(f"approve {names[j]} " + " ".join(alts[j][a] for a in part))
+                continue
+            if not ballot.statements or rng.random() < 0.3:
+                scope = rng.sample(ballot.scope, len(ballot.scope))
+                body.append(f"depends {names[j]} on " + " ".join(names[k] for k in scope))
+            for premise, approved in ballot.statements.items():
+                pairs = rng.sample(list(zip(ballot.scope, premise)), len(premise))
+                condition = ",".join(f"{names[k]}={alts[k][v]}" for k, v in pairs)
+                for part in _split(rng, approved):
+                    body.append(
+                        f"cond {names[j]} if {condition} then "
+                        + " ".join(alts[j][a] for a in part)
+                    )
+        for j in range(profile.m):
+            if j not in voter.ballots and rng.random() < 0.3:
+                # explicit approve-all lines, which the profile leaves out
+                for part in _split(rng, range(len(alts[j]))):
+                    body.append(f"approve {names[j]} " + " ".join(alts[j][a] for a in part))
+        rng.shuffle(body)
+        lines += [f"voter {voter.name}"] + body + ["end"]
+    return "\n".join(lines) + "\n"
 
 
 class TestProfileParsing:
@@ -104,6 +150,82 @@ end
             profile = parse_profile(doc)
         ballot = profile.voters[0].ballots[1]
         assert ballot.statements[(0,)] == frozenset({0, 1})
+
+    def test_merge_warnings_name_their_lines(self):
+        doc = """cmsprofile 1
+issues 3
+issue A 0 1 2
+issue B 0 1
+issue C 0 1
+voters 1
+voter v
+approve A 0
+cond C if B=1,A=2 then 1
+approve A 2
+cond C if A=2,B=1 then 0
+end
+"""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            profile = parse_profile(doc)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (FormatWarning, "line 10: duplicate approval for issue 'A' merged"),
+            (FormatWarning, "line 11: duplicate premise for issue 'C' merged"),
+        ]
+        # attributed to the caller of parse_profile
+        assert all(w.filename == __file__ for w in caught)
+        ballots = profile.voters[0].ballots
+        assert ballots[0] == issue_ballot(0, (), {(): {0, 2}})
+        assert ballots[2] == issue_ballot(2, (0, 1), {(2, 1): {0, 1}})
+
+    @pytest.mark.parametrize(
+        "lines, line, message",
+        [
+            (["cond C if A=0 then 0", "cond C if B=0 then 0"], 9, "inconsistent scope"),
+            (["depends C on A", "cond C if A=1,B=0 then 0"], 9, "inconsistent scope"),
+            (["cond C if A=0 then 0", "approve C 1"], 9, "already has conditional lines"),
+            (["approve C 1", "depends C on A"], 9, "already has an approval line"),
+            (["approve A 1", "cond C if C=0 then 0"], 9, "self-premise"),
+            (["approve A 1", "depends C on B C"], 9, "self-premise"),
+            (["cond C if A=0,A=1 then 0"], 8, "premise repeats an issue"),
+            (["cond C if A=0 then 2"], 8, "unknown alternative '2' for issue 'C'"),
+            (["cond C if A=0"], 8, "expected 'cond <target>"),
+            (["approve C 0"], 8, "unexpected end of document"),
+        ],
+    )
+    def test_error_lines(self, lines, line, message):
+        doc = "\n".join(
+            ["cmsprofile 1", "issues 3", "issue A 0 1", "issue B 0 1", "issue C 0 1",
+             "voters 1", "voter v"] + lines
+        )
+        if "unexpected end" not in message:
+            doc += "\nend\n"
+        with pytest.raises(ParseError) as err:
+            parse_profile(doc)
+        assert err.value.line == line
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_ballots_are_built_canonical(self, seed):
+        # The statements reach the parser shuffled, premise entries in random
+        # order, approval sets split over repeated lines, scopes also
+        # declared by depends lines and approve-all lines added; the parsed
+        # ballots must still be what issue_ballot builds, with the same
+        # canonical types.
+        rng = random.Random(seed)
+        profile = gen_random(
+            6, 4, d_max=3, delta_max=3, statement_density=0.5, seed=seed
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FormatWarning)
+            parsed = parse_profile(scrambled_document(profile, rng))
+        assert parsed == profile
+        for voter in parsed.voters:
+            for j, ballot in voter.ballots.items():
+                assert type(ballot.scope) is tuple
+                assert all(type(p) is tuple for p in ballot.statements)
+                assert all(type(a) is frozenset for a in ballot.statements.values())
+                assert ballot == issue_ballot(j, ballot.scope, ballot.statements)
 
     def test_comments_and_crlf(self):
         doc = P1_DOC.replace("\n", "  # trailing\r\n", 1)
