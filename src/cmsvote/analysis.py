@@ -714,6 +714,9 @@ def classify(
 
 
 def _component_width(issues, edges, width_cap: int):
+    if not edges:
+        # An isolated issue: min-fill makes one single-vertex bag.
+        return 0 if width_cap >= 0 else None
     index = {j: t for t, j in enumerate(issues)}
     sub = UndirectedGraph(
         len(issues), frozenset((index[u], index[v]) for u, v in edges)

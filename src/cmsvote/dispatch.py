@@ -9,7 +9,12 @@ per-component sum; any disagreement aborts.
 
 Splitting and majority counting read the profile's per-issue ballot index
 (``Profile.ballots_by_issue``), so they walk only the ballots on a
-component's own issues instead of every voter's ballot map.
+component's own issues instead of every voter's ballot map.  A component's
+sub-profile keeps only the voters with a ballot on it, so building it and
+re-verifying the component's solution cost O(its ballots), not O(n); the
+sub-solution's ``per_voter`` lists those voters only.  The dispatcher reads
+just each component's outcome and cost, and the merged outcome is verified
+over every voter of the full profile.
 """
 
 from __future__ import annotations
@@ -30,13 +35,7 @@ from .analysis import (
 from .brute import solve_brute
 from .errors import InternalMismatch, Intractable
 from .mincut import solve_mincut
-from .model import (
-    Profile,
-    Solution,
-    issue_ballot,
-    make_profile,
-    make_solution,
-)
+from .model import IssueBallot, Profile, Solution, Voter, make_solution
 from .treewidth import solve_treewidth
 
 METHODS = ("auto", "brute", "mincut", "treewidth")
@@ -59,17 +58,24 @@ class SolveConfig:
 def restrict_profile(profile: Profile, issues) -> Profile:
     """Sub-profile over a dependency-closed issue subset, issues reindexed.
 
-    Every voter is kept (their ballots outside the subset contribute zero
-    dissatisfaction there), so component costs add up to the full cost.
-    Each voter's ballots follow the order of ``issues``, which need not be
-    ascending: a premise is permuted along with its scope, so that it stays
-    aligned with the sorted sub-profile scope.
+    Only the voters that hold a ballot on one of the issues are kept, in
+    voter order and under their names; every other voter approves all of the
+    subset and would add zero dissatisfaction there.  So the sub-profile's
+    cost of any outcome equals the full profile's cost on those issues, and
+    component costs add up to the full cost.  Sub-profile issue ``t`` is
+    ``issues[t]``, and each kept voter's ballots follow that order, which
+    need not be ascending: a premise is permuted along with its scope, so
+    that it stays aligned with the sorted sub-profile scope.  The whole
+    profile with its issues in order is returned as is.
+
+    Remapping keeps the source ballots canonical, so the sub-profile's
+    ballots are built directly; a statement map is shared unless its
+    premises need re-sorting.
     """
     issues = list(issues)
+    if len(issues) == profile.m and issues == list(range(profile.m)):
+        return profile
     index = {j: t for t, j in enumerate(issues)}
-    sub_issues = [
-        (profile.issues[j].name, profile.issues[j].alternatives) for j in issues
-    ]
     sub_ballots = {}
     for t, j in enumerate(issues):
         for i, ballot in profile.ballots_by_issue[j]:
@@ -77,14 +83,17 @@ def restrict_profile(profile: Profile, issues) -> Profile:
             statements = ballot.statements
             if scope != sorted(scope):
                 order = sorted(range(len(scope)), key=scope.__getitem__)
+                scope = [scope[o] for o in order]
                 statements = {
                     tuple(premise[o] for o in order): approved
                     for premise, approved in statements.items()
                 }
-            sub_ballots.setdefault(i, []).append(issue_ballot(t, scope, statements))
-    return make_profile(
-        sub_issues,
-        [(voter.name, sub_ballots.get(i, ())) for i, voter in enumerate(profile.voters)],
+            sub_ballots.setdefault(i, {})[t] = IssueBallot(t, tuple(scope), statements)
+    return Profile(
+        tuple(profile.issues[j] for j in issues),
+        tuple(
+            Voter(profile.voters[i].name, sub_ballots[i]) for i in sorted(sub_ballots)
+        ),
     )
 
 

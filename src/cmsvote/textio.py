@@ -90,7 +90,7 @@ def parse_profile(text: str) -> Profile:
         raise ParseError(ln, "expected header 'cmsprofile 1'")
 
     ln, tokens = cur.take("'issues <m>'")
-    if len(tokens) != 2 or tokens[0] != "issues" or not tokens[1].isdigit():
+    if len(tokens) != 2 or tokens[0] != "issues" or not tokens[1].isdecimal():
         raise ParseError(ln, "expected 'issues <m>'")
     m = int(tokens[1])
     if m < 1:
@@ -115,7 +115,7 @@ def parse_profile(text: str) -> Profile:
         issues.append((name, tuple(alts)))
 
     ln, tokens = cur.take("'voters <n>'")
-    if len(tokens) != 2 or tokens[0] != "voters" or not tokens[1].isdigit():
+    if len(tokens) != 2 or tokens[0] != "voters" or not tokens[1].isdecimal():
         raise ParseError(ln, "expected 'voters <n>'")
     n = int(tokens[1])
     if n < 1:

@@ -36,7 +36,7 @@ from cmsvote.analysis import (
     make_nice,
 )
 from cmsvote.mincut import TwoMonotoneConstraint
-from cmsvote.model import approve, issue_ballot, make_profile
+from cmsvote.model import approve, is_satisfied, issue_ballot, make_profile
 
 P1_DOC = """\
 cmsprofile 1
@@ -107,7 +107,10 @@ def naive_optimum(profile):
 
 
 def naive_restrict_profile(profile, issues):
-    """Sub-profile over ``issues`` by scanning every voter's ballot map."""
+    """Sub-profile over ``issues`` by scanning every voter's ballot map.
+
+    Voters without a ballot on any of ``issues`` are left out.
+    """
     issues = list(issues)
     index = {j: t for t, j in enumerate(issues)}
     sub_voters = []
@@ -124,11 +127,27 @@ def naive_restrict_profile(profile, issues):
                 for premise, approved in ballot.statements.items()
             ]
             ballots.append(issue_ballot(index[j], scope, statements))
-        sub_voters.append((voter.name, ballots))
+        if ballots:
+            sub_voters.append((voter.name, ballots))
     sub_issues = [
         (profile.issues[j].name, profile.issues[j].alternatives) for j in issues
     ]
     return make_profile(sub_issues, sub_voters)
+
+
+def cost_on_issues(profile, issues, outcome):
+    """Full-profile dissatisfaction on ``issues`` alone of the outcome that
+    sets issue ``issues[t]`` to ``outcome[t]``.
+
+    ``issues`` must be dependency-closed, so no ballot counted here reads
+    an issue outside it; those issues are set to 0.
+    """
+    full = [0] * profile.m
+    for t, j in enumerate(issues):
+        full[j] = outcome[t]
+    return sum(
+        not is_satisfied(profile, i, j, full) for i in range(profile.n) for j in issues
+    )
 
 
 def naive_treewidth_outcome(profile):

@@ -4,8 +4,19 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmsvote import Intractable, analysis, classify, gen_random, solve_profile
+from cmsvote import (
+    Intractable,
+    analysis,
+    classify,
+    gen_grid,
+    gen_random,
+    model,
+    solve_profile,
+)
+from cmsvote.analysis import component_outcome_space
 from cmsvote.cli import main
 from cmsvote.dispatch import SolveConfig, majority_alternative, restrict_profile
 from cmsvote.model import approve, issue_ballot, make_profile, total_dissatisfaction
@@ -14,6 +25,7 @@ from cmsvote.textio import serialize_profile
 from helpers import (
     P1_DOC,
     child_env,
+    cost_on_issues,
     naive_majority_alternative,
     naive_optimum,
     naive_restrict_profile,
@@ -76,14 +88,21 @@ class TestDispatch:
         )
         assert majority_alternative(profile, 0) == 0
 
-    def test_restrict_profile_keeps_all_voters(self):
+    def test_restrict_profile_keeps_ballot_voters(self):
         profile = multi_component_profile()
         sub = restrict_profile(profile, [3, 4])
-        assert sub.n == profile.n
         assert sub.m == 2
-        assert sub.issues[0].name == "D"
-        # v2's conditional on E survives with remapped ids
-        assert sub.voters[1].ballots[1].scope == (0,)
+        assert [issue.name for issue in sub.issues] == ["D", "E"]
+        # v1 holds no ballot on D or E and is left out; v2's conditional on
+        # E and v3's approval of D survive with remapped ids.
+        assert [voter.name for voter in sub.voters] == ["v2", "v3"]
+        assert sub.voters[0].ballots == {1: issue_ballot(1, (0,), {(1,): {0}})}
+        assert sub.voters[1].ballots == {0: approve(0, {1})}
+        for outcome in itertools.product(range(2), repeat=2):
+            assert total_dissatisfaction(sub, outcome) == cost_on_issues(
+                profile, [3, 4], outcome
+            )
+        assert restrict_profile(profile, range(profile.m)) is profile
 
     def test_method_override_applies_everywhere(self):
         profile = multi_component_profile()
@@ -128,23 +147,87 @@ class TestDispatch:
         classify(profile).to_text()
         assert len(calls) == profile.n
 
+    def test_verification_walks_component_voters_only(self, monkeypatch):
+        # Each solver re-verifies its component on the sub-profile, which
+        # holds only the voters with a ballot there; the merged check then
+        # walks every voter once.
+        profile = gen_random(
+            120, 60, delta_max=1, statement_density=0.006, seed=4, group_dichotomous=True
+        )
+        solved = [c for c in classify(profile).components if c.route != "MAJORITY"]
+        sub_voters = [restrict_profile(profile, c.issues).n for c in solved]
+        # Keeping every voter would cost len(solved) * profile.n calls.
+        assert len(solved) > 5 and 4 * sum(sub_voters) < len(solved) * profile.n
+
+        calls = []
+        original = model.voter_dissatisfaction
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model, "voter_dissatisfaction", counting)
+        solve_profile(profile)
+        assert len(calls) == sum(sub_voters) + profile.n
+
+
+# Small profiles of every shape the dispatcher splits: several components or
+# one, binary or not, group-dichotomous or not, premise scopes of 1-3 issues.
+small_profiles = st.one_of(
+    st.builds(gen_grid, st.integers(2, 3)),
+    st.builds(
+        gen_random,
+        m=st.integers(2, 7),
+        n=st.integers(1, 5),
+        d_max=st.integers(2, 3),
+        delta_max=st.integers(1, 3),
+        statement_density=st.sampled_from((0.05, 0.15, 0.3, 0.6)),
+        seed=st.integers(0, 10_000),
+        group_dichotomous=st.booleans(),
+    ),
+)
+
+
+class TestDifferential:
+    """Component-wise solving against the whole-profile exhaustive optimum."""
+
+    @given(profile=small_profiles)
+    @settings(max_examples=60, deadline=None)
+    def test_cross_validated_solve_is_optimal(self, profile):
+        solution = solve_profile(profile, SolveConfig(cross_validate=True))
+        assert solution.cost == naive_optimum(profile)[0]
+        assert total_dissatisfaction(profile, solution.outcome) == solution.cost
+
 
 class TestBallotIndex:
     """The index-based split and majority count against full-voter scans."""
 
     def test_split_and_majority_match_full_scan(self):
-        voter_without_ballots = unvoted_issue = False
-        majority_checked = 0
+        dropped_voters = unvoted_issue = False
+        majority_checked = costs_checked = 0
         for seed in range(12):
             profile = gen_random(
                 14, 6, d_max=3, delta_max=2, statement_density=0.08, seed=seed
             )
-            assert restrict_profile(profile, range(profile.m)) == profile
+            assert restrict_profile(profile, range(profile.m)) is profile
             for comp in classify(profile).components:
                 sub = restrict_profile(profile, comp.issues)
                 assert sub == naive_restrict_profile(profile, comp.issues)
-                if any(not voter.ballots for voter in sub.voters):
-                    voter_without_ballots = True
+                # Exactly the voters with a ballot on the component remain.
+                kept = [
+                    voter.name
+                    for voter in profile.voters
+                    if any(j in voter.ballots for j in comp.issues)
+                ]
+                assert [voter.name for voter in sub.voters] == kept
+                if len(kept) < profile.n:
+                    dropped_voters = True
+                if sub.m > 1 and component_outcome_space(profile, comp.issues) <= 512:
+                    for outcome in itertools.product(*map(range, sub.domain_sizes())):
+                        assert total_dissatisfaction(sub, outcome) == cost_on_issues(
+                            profile, comp.issues, outcome
+                        )
+                    costs_checked += 1
             for j in range(profile.m):
                 ballots = [voter.ballots.get(j) for voter in profile.voters]
                 if all(b is None for b in ballots):
@@ -154,8 +237,9 @@ class TestBallotIndex:
                         naive_majority_alternative(profile, j)
                     )
                     majority_checked += 1
-        assert voter_without_ballots and unvoted_issue
+        assert dropped_voters and unvoted_issue
         assert majority_checked > 50
+        assert costs_checked > 5
 
     def test_restrict_to_unsorted_issue_order(self):
         # Sub-profile issue t is full-profile issue order[t]; each outcome
@@ -168,13 +252,16 @@ class TestBallotIndex:
             )
             order = rng.sample(range(profile.m), profile.m)
             sub = restrict_profile(profile, order)
-            assert sub == naive_restrict_profile(profile, order)
+            if order == list(range(profile.m)):
+                assert sub is profile
+            else:
+                assert sub == naive_restrict_profile(profile, order)
+                assert [voter.name for voter in sub.voters] == [
+                    voter.name for voter in profile.voters if voter.ballots
+                ]
             for outcome in itertools.product(*map(range, sub.domain_sizes())):
-                full = [None] * profile.m
-                for t, j in enumerate(order):
-                    full[j] = outcome[t]
-                assert total_dissatisfaction(sub, outcome) == total_dissatisfaction(
-                    profile, full
+                assert total_dissatisfaction(sub, outcome) == cost_on_issues(
+                    profile, order, outcome
                 )
             permuted_premises += sum(
                 1

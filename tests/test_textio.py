@@ -138,6 +138,15 @@ end
         with pytest.raises(ParseError):
             parse_profile(P1_DOC + "voter extra\nend\n")
 
+    def test_non_decimal_digit_counts(self):
+        # "²".isdigit() holds but int("²") fails: both are parse errors.
+        with pytest.raises(ParseError) as err:
+            parse_profile(P1_DOC.replace("issues 2", "issues ²"))
+        assert err.value.line == 2
+        with pytest.raises(ParseError) as err:
+            parse_profile(P1_DOC.replace("voters 2", "voters ³"))
+        assert err.value.line == 5
+
     def test_missing_end(self):
         with pytest.raises(ParseError):
             parse_profile(P1_DOC.rsplit("end", 1)[0])
