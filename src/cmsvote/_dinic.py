@@ -1,107 +1,94 @@
 """Blocking-flow (Dinic) maximum flow on integer capacities.
 
-Arcs are stored as paired forward/backward entries (arc i's reverse is i^1)
-in head/next adjacency arrays.  ``max_flow`` is the one implementation: it
-copies the arrays into Python lists and runs level-graph BFS plus
-iterative DFS augmentation over them, since list indexing is the cheapest
-element access plain Python has.  The flow value is exact on integer
+The network is three plain lists: ``out[u]`` holds the ids of the arcs
+leaving node ``u``, and arc ``e`` runs to ``to[e]`` with capacity
+``cap[e]``.  Arcs come in forward/backward pairs, so arc ``e``'s reverse is
+``e ^ 1`` and its tail is ``to[e ^ 1]``.  List indexing is the cheapest
+element access plain Python has, so the kernel needs no numpy.
+
+Each phase builds the level graph by BFS, stopping as soon as the sink has
+a level; of the nodes on the sink's level only the sink is kept.  An
+iterative DFS with current-arc pointers then finds a blocking flow.  After
+each augmentation it resumes at the tail of the first arc the path
+saturated instead of going back to the source, and a node whose arcs are
+exhausted leaves the level graph.  The flow value is exact on integer
 capacities (Python integers never overflow); the returned source side is
-the set of nodes reachable in the residual graph, which is the same for
-every maximum flow.
+the set of nodes reachable in the final residual graph, which is the same
+for every maximum flow.
 """
 
 from __future__ import annotations
 
 
-class ArcListBuilder:
-    """Accumulates directed arcs; ``done`` freezes them into flat arrays."""
+def max_flow(n, source, sink, out, to, cap):
+    """(flow value, residual source side as a list of n booleans).
 
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self.head = [-1] * n_nodes
-        self.nxt = []
-        self.to = []
-        self.cap = []
-
-    def add_arc(self, u: int, v: int, capacity: int) -> None:
-        for a, b, c in ((u, v, capacity), (v, u, 0)):
-            self.nxt.append(self.head[a])
-            self.head[a] = len(self.to)
-            self.to.append(b)
-            self.cap.append(c)
-
-    def done(self):
-        import numpy as np
-
-        return (
-            np.asarray(self.head, dtype=np.int64),
-            np.asarray(self.nxt, dtype=np.int64),
-            np.asarray(self.to, dtype=np.int64),
-            np.asarray(self.cap, dtype=np.int64),
-        )
-
-
-def max_flow(n, source, sink, head, nxt, to, cap):
-    """(flow value, residual source-side boolean array)."""
-    import numpy as np
-
-    head = head.tolist()
-    nxt = nxt.tolist()
-    to = to.tolist()
-    cap = cap.tolist()
+    ``cap`` is copied, so the caller's capacities are left as they were.
+    """
+    cap = list(cap)
     flow = 0
     while True:
         level = [-1] * n
         level[source] = 0
         queue = [source]
         for u in queue:
-            e = head[u]
-            while e != -1:
-                v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                e = nxt[e]
-        if level[sink] < 0:
+            below = level[u] + 1
+            for e in out[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = below
+                        if v == sink:
+                            break
+                        queue.append(v)
+            else:
+                continue
             break
-        it = list(head)
-        path_nodes = [source]
-        path_arcs = []
-        while path_nodes:
-            u = path_nodes[-1]
+        else:
+            # The BFS ran to exhaustion without reaching the sink: the
+            # labelled nodes are exactly the residual source side.
+            return flow, [d >= 0 for d in level]
+
+        # Nodes labelled on the sink's level lead nowhere; drop them.
+        top = level[sink]
+        while level[queue[-1]] == top:
+            level[queue.pop()] = -1
+
+        it = [0] * n
+        path = []
+        u = source
+        while True:
             if u == sink:
-                bottleneck = min(cap[e] for e in path_arcs)
-                for e in path_arcs:
+                first = 0
+                bottleneck = cap[path[0]]
+                for k in range(1, len(path)):
+                    c = cap[path[k]]
+                    if c < bottleneck:
+                        bottleneck = c
+                        first = k
+                for e in path:
                     cap[e] -= bottleneck
                     cap[e ^ 1] += bottleneck
                 flow += bottleneck
-                path_nodes = [source]
-                path_arcs = []
+                u = to[path[first] ^ 1]
+                del path[first:]
                 continue
-            e = it[u]
-            while e != -1 and not (cap[e] > 0 and level[to[e]] == level[u] + 1):
-                e = nxt[e]
-            it[u] = e
-            if e == -1:
+            arcs = out[u]
+            i = it[u]
+            end = len(arcs)
+            below = level[u] + 1
+            while i < end:
+                e = arcs[i]
+                if cap[e] > 0 and level[to[e]] == below:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(e)
+                u = to[e]
+            elif path:
                 level[u] = -1
-                path_nodes.pop()
-                if path_arcs:
-                    dead = path_arcs.pop()
-                    it[path_nodes[-1]] = nxt[dead]
+                u = to[path.pop() ^ 1]
+                it[u] += 1
             else:
-                path_nodes.append(to[e])
-                path_arcs.append(e)
-
-    side = [False] * n
-    side[source] = True
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        e = head[u]
-        while e != -1:
-            v = to[e]
-            if cap[e] > 0 and not side[v]:
-                side[v] = True
-                stack.append(v)
-            e = nxt[e]
-    return flow, np.asarray(side, dtype=np.bool_)
+                break

@@ -24,6 +24,13 @@ INTRACTABLE = "INTRACTABLE"
 DEFAULT_WIDTH_THRESHOLD = 8
 DEFAULT_BRUTE_BUDGET = 10_000_000
 
+
+def check_bounds(width_threshold: int, brute_budget: int) -> None:
+    """The routing bounds ``classify`` and ``SolveConfig`` accept."""
+    if width_threshold < 0 or brute_budget < 1:
+        raise ValueError("width threshold must be >= 0 and brute budget >= 1")
+
+
 # Per-voter vertex covers in reports are computed exactly up to this bound;
 # larger covers are reported as "exceeds".
 VC_REPORT_CAP = 12
@@ -296,12 +303,40 @@ def is_group_dichotomous(profile: Profile, issues=None):
     return True, None
 
 
+_ZERO = frozenset((0,))
+_ONE = frozenset((1,))
+_BOTH = frozenset((0, 1))
+
+
+def dichotomy_terms(ballot):
+    """(low, high) for a conditional ballot of group-dichotomous shape, else None.
+
+    ``low`` and ``high`` are the approval sets at the all-0 and the all-1
+    premise, None where the ballot has no such statement.  The shape holds
+    when no other premise has a statement, ``low`` is {0} or {0, 1} and
+    ``high`` is {1} or {0, 1}.  The target issue's domain is not checked.
+    """
+    statements = ballot.statements
+    size = len(ballot.scope)
+    low = statements.get((0,) * size)
+    high = statements.get((1,) * size)
+    if (
+        len(statements) != (low is not None) + (high is not None)
+        or (low is not None and low != _ZERO and low != _BOTH)
+        or (high is not None and high != _ONE and high != _BOTH)
+    ):
+        return None
+    return low, high
+
+
 def _ballot_dichotomy_witness(voter: int, ballot, dom):
     j = ballot.issue
     if dom[j] != 2:
         return DichotomyWitness(
             voter, j, None, f"conditional ballot on non-binary issue ({dom[j]} alternatives)"
         )
+    if dichotomy_terms(ballot) is not None:
+        return None
     for premise in sorted(ballot.statements):
         approved = ballot.statements[premise]
         all_zero = all(v == 0 for v in premise)
@@ -650,6 +685,7 @@ def classify(
     means "exceeds width_threshold".  The report's per-voter vertex covers
     are left to its first read, so routing never pays for them.
     """
+    check_bounds(width_threshold, brute_budget)
     graph = build_global_graph(profile)
     dom = profile.domain_sizes()
 

@@ -30,6 +30,7 @@ from .analysis import (
     MINCUT,
     TREEWIDTH,
     AnalysisReport,
+    check_bounds,
     classify,
 )
 from .brute import solve_brute
@@ -51,8 +52,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.width_threshold < 0 or self.brute_budget < 1:
-            raise ValueError("bounds must be positive")
+        check_bounds(self.width_threshold, self.brute_budget)
 
 
 def restrict_profile(profile: Profile, issues) -> Profile:

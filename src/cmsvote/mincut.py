@@ -3,23 +3,25 @@
 Pipeline: profile -> weighted constraints, each a disjunction of one
 all-positive and/or one all-negative conjunction -> s-t min-cut network ->
 outcome read off the cut.  A variable node on the source side of the cut
-means the issue is decided 1.  The solution cost is always re-verified
-against the dissatisfaction semantics; disagreement aborts the run, since it
-would signal a bug in the reduction or the flow kernel.
+means the issue is decided 1.  The whole route runs on plain Python
+containers: one pass over the ballots checks their shape and compiles
+them, the network is per-node arc-id lists, and ``_dinic.max_flow`` runs
+on those lists, so a MINCUT solve never imports numpy.  The solution cost
+is always re-verified against the dissatisfaction semantics; disagreement
+aborts the run, since it would signal a bug in the reduction or the flow
+kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from itertools import compress
+from typing import Optional
 
 from . import _dinic
-from .analysis import is_group_dichotomous
+from .analysis import _ONE, _ZERO, _ballot_dichotomy_witness, dichotomy_terms
 from .errors import InternalMismatch, NotGroupDichotomous
 from .model import Profile, Solution, make_solution
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,19 @@ class TwoMonotoneConstraint:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Min-cut gadget network; variable ``v`` lives at node ``var_base + v``."""
+    """Min-cut gadget network; variable ``v`` lives at node ``var_base + v``.
+
+    ``out[u]`` lists the ids of the arcs leaving node ``u``; arc ``e`` runs
+    to ``to[e]`` with capacity ``cap[e]``, and its reverse is arc ``e ^ 1``,
+    which starts with capacity 0.
+    """
 
     n_nodes: int
     source: int
     sink: int
-    head: np.ndarray
-    nxt: np.ndarray
-    to: np.ndarray
-    cap: np.ndarray
+    out: list
+    to: list
+    cap: list
     inf: int
     var_base: int
     n_vars: int
@@ -65,7 +71,12 @@ def compile_constraints(profile: Profile):
     Returns (constraints, base_cost).  For every assignment, base_cost plus
     the weighted count of violated constraints equals the total
     dissatisfaction of the corresponding outcome.  Identical constraints are
-    merged by summing weights.
+    merged by summing weights, and the list is sorted.  Each conditional
+    ballot's group-dichotomous shape is checked as it is read; the first
+    ballot that fails raises ``NotGroupDichotomous`` with the witness
+    ``is_group_dichotomous`` gives.  A ballot that no outcome can satisfy
+    (an empty approval set, or a conditional ballot with no statements) adds
+    one to base_cost.
     """
     dom = profile.domain_sizes()
     bad = next((j for j, d in enumerate(dom) if d != 2), None)
@@ -73,56 +84,51 @@ def compile_constraints(profile: Profile):
         raise NotGroupDichotomous(
             f"issue {bad} has {dom[bad]} alternatives; the reduction needs binary issues"
         )
-    ok, witness = is_group_dichotomous(profile)
-    if not ok:
-        raise NotGroupDichotomous(witness)
 
+    # Keys are (pos, neg) as sorted tuples, so identical constraints merge
+    # and sort without building a frozenset per ballot.
     weights = {}
     base_cost = 0
-    for voter in profile.voters:
-        for j, ballot in sorted(voter.ballots.items()):
-            if not ballot.scope:
-                approved = ballot.statements[()]
+    for i, voter in enumerate(profile.voters):
+        for j, ballot in voter.ballots.items():
+            scope = ballot.scope
+            statements = ballot.statements
+            if not scope:
+                approved = statements[()]
                 if len(approved) == 2:
                     continue  # satisfied either way, no constraint
-                if approved == frozenset({1}):
-                    key = (frozenset({j}), None)
-                else:
-                    key = (None, frozenset({j}))
-                weights[key] = weights.get(key, 0) + 1
-                continue
-            if not ballot.statements:
+                if not approved:
+                    base_cost += 1  # satisfied by neither alternative
+                    continue
+                key = ((j,), None) if approved == _ONE else (None, (j,))
+            elif not statements:
                 base_cost += 1  # no premise can ever match
                 continue
-            size = len(ballot.scope)
-            low = ballot.statements.get((0,) * size)
-            high = ballot.statements.get((1,) * size)
-            neg = None
-            pos = None
-            if low is not None:
-                members = set(ballot.scope)
-                if low == frozenset({0}):
-                    members.add(j)
-                neg = frozenset(members)
-            if high is not None:
-                members = set(ballot.scope)
-                if high == frozenset({1}):
-                    members.add(j)
-                pos = frozenset(members)
-            key = (pos, neg)
+            else:
+                terms = dichotomy_terms(ballot)
+                if terms is None:
+                    raise NotGroupDichotomous(_ballot_dichotomy_witness(i, ballot, dom))
+                low, high = terms
+                if low == _ZERO or high == _ONE:
+                    with_j = tuple(sorted((*scope, j)))
+                neg = pos = None
+                if low is not None:
+                    neg = with_j if low == _ZERO else scope
+                if high is not None:
+                    pos = with_j if high == _ONE else scope
+                key = (pos, neg)
             weights[key] = weights.get(key, 0) + 1
 
     def sort_key(item):
         pos, neg = item[0]
-        return (
-            pos is None,
-            tuple(sorted(pos)) if pos is not None else (),
-            neg is None,
-            tuple(sorted(neg)) if neg is not None else (),
-        )
+        return (pos is None, pos or (), neg is None, neg or ())
 
     constraints = [
-        TwoMonotoneConstraint(pos, neg, weight)
+        TwoMonotoneConstraint(
+            None if pos is None else frozenset(pos),
+            None if neg is None else frozenset(neg),
+            weight,
+        )
         for (pos, neg), weight in sorted(weights.items(), key=sort_key)
     ]
     return constraints, base_cost
@@ -142,51 +148,56 @@ def build_network(constraints, n_vars: int) -> FlowNetwork:
     inf = sum(c.weight for c in constraints) + 1
     source, sink = 0, 1
     var_base = 2
-    n_nodes = var_base + n_vars
-    arcs = []  # deferred so auxiliary node ids can be assigned in order
+    out = [[] for _ in range(var_base + n_vars)]
+    to = []
+    cap = []
+
+    def arc(u, v, capacity):
+        e = len(to)
+        out[u].append(e)
+        out[v].append(e + 1)
+        to.extend((v, u))
+        cap.extend((capacity, 0))
+
+    def node():
+        out.append([])
+        return len(out) - 1
+
     for c in constraints:
         pos = c.pos
         neg = c.neg
         if pos is not None and neg is not None:
-            a = n_nodes
-            b = n_nodes + 1
-            n_nodes += 2
-            arcs.append((a, b, c.weight))
-            for j in sorted(neg):
-                arcs.append((var_base + j, a, inf))
-            for i in sorted(pos):
-                arcs.append((b, var_base + i, inf))
+            a = node()
+            b = node()
+            arc(a, b, c.weight)
+            for j in neg:
+                arc(var_base + j, a, inf)
+            for i in pos:
+                arc(b, var_base + i, inf)
         elif neg is not None:
             if len(neg) == 1:
                 (j,) = neg
-                arcs.append((var_base + j, sink, c.weight))
+                arc(var_base + j, sink, c.weight)
             else:
-                a = n_nodes
-                n_nodes += 1
-                for j in sorted(neg):
-                    arcs.append((var_base + j, a, inf))
-                arcs.append((a, sink, c.weight))
+                a = node()
+                for j in neg:
+                    arc(var_base + j, a, inf)
+                arc(a, sink, c.weight)
         else:
             if len(pos) == 1:
                 (i,) = pos
-                arcs.append((source, var_base + i, c.weight))
+                arc(source, var_base + i, c.weight)
             else:
-                b = n_nodes
-                n_nodes += 1
-                arcs.append((source, b, c.weight))
-                for i in sorted(pos):
-                    arcs.append((b, var_base + i, inf))
+                b = node()
+                arc(source, b, c.weight)
+                for i in pos:
+                    arc(b, var_base + i, inf)
 
-    builder = _dinic.ArcListBuilder(n_nodes)
-    for u, v, capacity in arcs:
-        builder.add_arc(u, v, capacity)
-    head, nxt, to, cap = builder.done()
     return FlowNetwork(
-        n_nodes=n_nodes,
+        n_nodes=len(out),
         source=source,
         sink=sink,
-        head=head,
-        nxt=nxt,
+        out=out,
         to=to,
         cap=cap,
         inf=inf,
@@ -197,18 +208,15 @@ def build_network(constraints, n_vars: int) -> FlowNetwork:
 
 def max_flow_min_cut(network: FlowNetwork):
     """Exact max flow value (= min cut) and the residual source-side node set."""
-    import numpy as np
-
     flow, side = _dinic.max_flow(
         network.n_nodes,
         network.source,
         network.sink,
-        network.head,
-        network.nxt,
+        network.out,
         network.to,
         network.cap,
     )
-    return flow, frozenset(int(v) for v in np.nonzero(side)[0])
+    return flow, frozenset(compress(range(network.n_nodes), side))
 
 
 def solve_mincut(profile: Profile) -> Solution:

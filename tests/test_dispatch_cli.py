@@ -316,6 +316,24 @@ end
         assert main(["solve", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--width-threshold", "-1"], ["--brute-budget", "0"]]
+    )
+    def test_bounds_rejected_alike(self, p1_path, capsys, flags):
+        errors = []
+        for command in ("solve", "analyze"):
+            assert main([command, p1_path, *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [
+            "error: width threshold must be >= 0 and brute budget >= 1\n"
+        ] * 2
+
+    def test_zero_width_threshold_accepted(self, p1_path, capsys):
+        assert main(["solve", p1_path, "--width-threshold", "0"]) == 0
+        assert main(["analyze", p1_path, "--width-threshold", "0", "--brute-budget", "1"]) == 0
+
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent.profile"]) == 2
 

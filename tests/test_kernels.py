@@ -163,6 +163,50 @@ class TestScan:
             _scan.scan_best(_scan.compile_cost_model(profile, budget=10))
 
 
+def run_max_flow(network):
+    return _dinic.max_flow(
+        network.n_nodes,
+        network.source,
+        network.sink,
+        network.out,
+        network.to,
+        network.cap,
+    )
+
+
+def arc_tails(network):
+    tail = [0] * len(network.to)
+    for u, arcs in enumerate(network.out):
+        for e in arcs:
+            tail[e] = u
+    return tail
+
+
+def residual_source_side(network, flow_dict):
+    """Nodes reachable from the source in the residual graph of the maximum
+    flow networkx returns as ``flow_dict[u][v]``, parallel arcs summed."""
+    residual = {}
+    for e in range(0, len(network.to), 2):
+        u, v = network.to[e ^ 1], network.to[e]
+        residual[u, v] = residual.get((u, v), 0) + network.cap[e]
+    for u, row in flow_dict.items():
+        for v, f in row.items():
+            residual[u, v] = residual.get((u, v), 0) - f
+            residual[v, u] = residual.get((v, u), 0) + f
+    neighbors = {}
+    for (u, v), c in residual.items():
+        if c > 0:
+            neighbors.setdefault(u, []).append(v)
+    reach = {network.source}
+    stack = [network.source]
+    while stack:
+        for v in neighbors.get(stack.pop(), ()):
+            if v not in reach:
+                reach.add(v)
+                stack.append(v)
+    return reach
+
+
 class TestDinic:
     def test_flow_and_cut_match_exhaustive_minimum(self):
         for seed in range(60):
@@ -170,28 +214,45 @@ class TestDinic:
             n_vars = rng.randint(1, 8)
             constraints = random_constraints(rng, n_vars, rng.randint(1, 10))
             network = build_network(constraints, n_vars)
-            flow, side = _dinic.max_flow(
-                network.n_nodes,
-                network.source,
-                network.sink,
-                network.head,
-                network.nxt,
-                network.to,
-                network.cap,
-            )
+            cap = list(network.cap)
+            flow, side = run_max_flow(network)
+            assert network.cap == cap  # the kernel works on a copy
             assert flow == exhaustive_min_violations(constraints, n_vars)
             assert side[network.source] and not side[network.sink]
             # Arcs are stored in forward/backward pairs; the forward arcs
             # leaving the source side carry exactly the flow.
-            tail = np.empty(len(network.to), dtype=np.int64)
-            for u in range(network.n_nodes):
-                e = network.head[u]
-                while e != -1:
-                    tail[e] = u
-                    e = network.nxt[e]
-            forward = np.arange(0, len(network.to), 2)
-            crossing = side[tail[forward]] & ~side[network.to[forward]]
-            assert int(network.cap[forward][crossing].sum()) == flow
+            tail = arc_tails(network)
+            assert all(tail[e] == network.to[e ^ 1] for e in range(len(tail)))
+            crossing = sum(
+                network.cap[e]
+                for e in range(0, len(network.to), 2)
+                if side[tail[e]] and not side[network.to[e]]
+            )
+            assert crossing == flow
+
+    def test_flow_and_source_side_match_networkx(self):
+        # 8-80 variables: past the exhaustive check, with level graphs deep
+        # enough that augmenting paths saturate arcs well inside the path.
+        import networkx as nx
+
+        for seed in range(200):
+            rng = random.Random(seed)
+            n_vars = rng.randint(8, 80)
+            constraints = random_constraints(rng, n_vars, rng.randint(n_vars, 4 * n_vars))
+            network = build_network(constraints, n_vars)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(network.n_nodes))
+            for e in range(0, len(network.to), 2):
+                u, v = network.to[e ^ 1], network.to[e]
+                if graph.has_edge(u, v):
+                    graph[u][v]["capacity"] += network.cap[e]
+                else:
+                    graph.add_edge(u, v, capacity=network.cap[e])
+            expected, flow_dict = nx.maximum_flow(graph, network.source, network.sink)
+            flow, side = run_max_flow(network)
+            assert flow == expected, seed
+            reach = residual_source_side(network, flow_dict)
+            assert {u for u in range(network.n_nodes) if side[u]} == reach, seed
 
 
 def test_import_loads_neither_numba_nor_scipy():
@@ -222,4 +283,23 @@ def test_parse_and_analyze_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("issues in ")
+    assert lines[1] == "False"
+
+
+def test_mincut_solves_do_not_load_numpy():
+    code = (
+        "import sys, cmsvote;"
+        "p = cmsvote.gen_random(30, 20, d_max=2, delta_max=2, statement_density=0.5,"
+        " seed=7, group_dichotomous=True);"
+        "routes = {c.route for c in cmsvote.classify(p).components};"
+        "print(sorted(routes), cmsvote.solve_profile(p).cost, cmsvote.solve_mincut(p).cost);"
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    routes, cost, mincut_cost = lines[0].rsplit(" ", 2)
+    assert routes == "['MINCUT']" and cost == mincut_cost
     assert lines[1] == "False"

@@ -9,9 +9,12 @@ from cmsvote import (
     compile_constraints,
     gen_grid,
     gen_random,
+    is_group_dichotomous,
     max_flow_min_cut,
     solve_brute,
     solve_mincut,
+    solve_profile,
+    solve_treewidth,
     total_dissatisfaction,
 )
 from cmsvote.mincut import TwoMonotoneConstraint
@@ -133,18 +136,17 @@ class TestNetworkGadget:
         assert side == frozenset({0})  # only the source: both variables at 0
 
     def test_chain_bottleneck(self):
-        # source -> x cap 2, x -> sink cap 1
-        from cmsvote._dinic import ArcListBuilder
+        # source -> x cap 2, x -> sink cap 1; arc e's reverse is e ^ 1
         from cmsvote.mincut import FlowNetwork
 
-        builder = ArcListBuilder(3)
-        builder.add_arc(0, 2, 2)
-        builder.add_arc(2, 1, 1)
-        head, nxt, to, cap = builder.done()
-        network = FlowNetwork(3, 0, 1, head, nxt, to, cap, 4, 2, 1)
+        out = [[0], [3], [1, 2]]
+        to = [2, 0, 1, 2]
+        cap = [2, 0, 1, 0]
+        network = FlowNetwork(3, 0, 1, out, to, cap, 4, 2, 1)
         cut, side = max_flow_min_cut(network)
         assert cut == 1
         assert side == frozenset({0, 2})
+        assert cap == [2, 0, 1, 0]  # the capacities are left as they were
 
     def test_disconnected_source_sink(self):
         network = build_network([], 2)
@@ -215,3 +217,33 @@ class TestSolveMincut:
         )
         with pytest.raises(NotGroupDichotomous):
             solve_mincut(profile)
+
+    def test_witness_matches_is_group_dichotomous(self):
+        rejected = 0
+        for seed in range(200):
+            profile = gen_random(
+                6, 5, delta_max=2, statement_density=0.6, seed=seed
+            )
+            ok, witness = is_group_dichotomous(profile)
+            if ok:
+                continue
+            rejected += 1
+            with pytest.raises(NotGroupDichotomous) as info:
+                compile_constraints(profile)
+            assert info.value.witness == witness, seed
+        assert rejected > 100
+
+    def test_empty_unconditional_approval_is_never_satisfied(self):
+        # Voter v approves neither alternative of A, so v costs 1 whatever
+        # the outcome; the compile must not read the empty set as "approves 0".
+        profile = make_profile(
+            [("A", ("0", "1")), ("B", ("0", "1"))],
+            [("v", [approve(0, [])]), ("w", [issue_ballot(1, (0,), {(1,): {1}})])],
+        )
+        constraints, base = compile_constraints(profile)
+        assert base == 1
+        assert solve_brute(profile).cost == 1
+        assert solve_treewidth(profile).cost == 1
+        assert solve_mincut(profile).cost == 1
+        solution = solve_profile(profile)
+        assert (solution.cost, solution.method) == (1, "mincut")
