@@ -150,13 +150,30 @@ class DichotomyWitness:
 
 @dataclass(frozen=True)
 class ComponentReport:
+    """One connected component of the global dependency graph and its route.
+
+    ``edges`` (the component's global-graph edges) and ``width_threshold``
+    are the inputs of the width probe behind ``heuristic_width``.
+    """
+
     issues: tuple
     route: str
     all_binary: bool
     group_dichotomous: bool
     delta: int
-    heuristic_width: Optional[int]  # None: exceeds the routing width threshold
     outcome_space: int
+    edges: frozenset = field(repr=False)
+    width_threshold: int
+
+    @cached_property
+    def heuristic_width(self) -> Optional[int]:
+        """Min-fill width, or None when it exceeds ``width_threshold``.
+
+        Only TREEWIDTH routing reads it, so ``classify`` fills it in for the
+        components whose route depends on it and leaves the rest to their
+        first read.
+        """
+        return _component_width(self.issues, self.edges, self.width_threshold)
 
 
 @dataclass(frozen=True)
@@ -166,9 +183,14 @@ class AnalysisReport:
     group_dichotomous: bool
     dichotomy_witness: Optional[DichotomyWitness]
     component_count: int
-    heuristic_width: Optional[int]  # None when some component exceeds the threshold
     components: tuple
     profile: Profile = field(compare=False, repr=False)
+
+    @cached_property
+    def heuristic_width(self) -> Optional[int]:
+        """Largest component width; None when some component exceeds the threshold."""
+        widths = [c.heuristic_width for c in self.components]
+        return None if any(w is None for w in widths) else max(widths, default=0)
 
     @cached_property
     def per_voter_vertex_cover(self) -> tuple:
@@ -682,8 +704,11 @@ def classify(
 
     Widths come from a width-capped min-fill probe, so classification stays
     fast on components whose width is far beyond the threshold; a None width
-    means "exceeds width_threshold".  The report's per-voter vertex covers
-    are left to its first read, so routing never pays for them.
+    means "exceeds width_threshold".  Only components whose route depends on
+    the width (more than one issue, not MINCUT, delta <= 1) are probed here.
+    The widths of MAJORITY and MINCUT components, those of components with
+    larger premise scopes, and the report's per-voter vertex covers are left
+    to their first read, so routing never pays for them.
     """
     check_bounds(width_threshold, brute_budget)
     graph = build_global_graph(profile)
@@ -718,24 +743,25 @@ def classify(
         gd = all(gd_ok_by_issue[j] for j in issues)
         delta = max(delta_by_issue[j] for j in issues)
         sub_edges = frozenset(e for j in issues for e in edges_by_issue[j])
-        width = _component_width(issues, sub_edges, width_threshold)
         space = component_outcome_space(profile, issues)
+        probed = len(issues) > 1 and not (binary and gd) and delta <= 1
+        width = _component_width(issues, sub_edges, width_threshold) if probed else None
         if len(issues) == 1:
             route = MAJORITY
         elif binary and gd:
             route = MINCUT
-        elif delta <= 1 and width is not None:
+        elif probed and width is not None:
             route = TREEWIDTH
         elif space <= brute_budget:
             route = BRUTE
         else:
             route = INTRACTABLE
-        comps.append(
-            ComponentReport(issues_t, route, binary, gd, delta, width, space)
+        comp = ComponentReport(
+            issues_t, route, binary, gd, delta, space, sub_edges, width_threshold
         )
-
-    widths = [c.heuristic_width for c in comps]
-    whole_width = None if any(w is None for w in widths) else max(widths, default=0)
+        if probed:
+            vars(comp)["heuristic_width"] = width  # the cached_property's slot
+        comps.append(comp)
 
     return AnalysisReport(
         delta=max(delta_by_issue, default=0),
@@ -743,7 +769,6 @@ def classify(
         group_dichotomous=witness is None,
         dichotomy_witness=witness,
         component_count=len(comps),
-        heuristic_width=whole_width,
         components=tuple(comps),
         profile=profile,
     )

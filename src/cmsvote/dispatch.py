@@ -14,7 +14,9 @@ sub-profile keeps only the voters with a ballot on it, so building it and
 re-verifying the component's solution cost O(its ballots), not O(n); the
 sub-solution's ``per_voter`` lists those voters only.  The dispatcher reads
 just each component's outcome and cost, and the merged outcome is verified
-over every voter of the full profile.
+over every voter of the full profile.  When one component is the whole
+profile, the solver's own verified solution is returned instead, unless
+cross-validation is on.
 """
 
 from __future__ import annotations
@@ -171,6 +173,10 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
         else:
             sub = restrict_profile(profile, comp.issues)
             solution = _solve(route, sub, config.brute_budget)
+            if sub is profile and not config.cross_validate:
+                # The one component is the whole profile, and the solver has
+                # verified its outcome over every voter already.
+                return solution
             assignment.update(zip(comp.issues, solution.outcome))
             cost = solution.cost
         if config.cross_validate:

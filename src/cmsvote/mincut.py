@@ -5,8 +5,9 @@ all-positive and/or one all-negative conjunction -> s-t min-cut network ->
 outcome read off the cut.  A variable node on the source side of the cut
 means the issue is decided 1.  The whole route runs on plain Python
 containers: one pass over the ballots checks their shape and compiles
-them, the network is per-node arc-id lists, and ``_dinic.max_flow`` runs
-on those lists, so a MINCUT solve never imports numpy.  The solution cost
+them, the network is per-node arc-id lists, and ``_flow.max_flow`` (a
+shortest-augmenting-path max flow with global relabelling) runs on those
+lists, so a MINCUT solve never imports numpy.  The solution cost
 is always re-verified against the dissatisfaction semantics; disagreement
 aborts the run, since it would signal a bug in the reduction or the flow
 kernel.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
-from . import _dinic
+from . import _flow
 from .analysis import _ONE, _ZERO, _ballot_dichotomy_witness, dichotomy_terms
 from .errors import InternalMismatch, NotGroupDichotomous
 from .model import Profile, Solution, make_solution
@@ -51,7 +52,8 @@ class FlowNetwork:
 
     ``out[u]`` lists the ids of the arcs leaving node ``u``; arc ``e`` runs
     to ``to[e]`` with capacity ``cap[e]``, and its reverse is arc ``e ^ 1``,
-    which starts with capacity 0.
+    which starts with capacity 0.  These are the lists ``_flow.max_flow``
+    reads; it works on a copy of ``cap``.
     """
 
     n_nodes: int
@@ -207,8 +209,13 @@ def build_network(constraints, n_vars: int) -> FlowNetwork:
 
 
 def max_flow_min_cut(network: FlowNetwork):
-    """Exact max flow value (= min cut) and the residual source-side node set."""
-    flow, side = _dinic.max_flow(
+    """Exact max flow value (= min cut) and the residual source-side node set.
+
+    The source side is the set of nodes reachable from the source in the
+    final residual graph: the smallest source side of any minimum cut, the
+    same whichever maximum flow the kernel finds.
+    """
+    flow, side = _flow.max_flow(
         network.n_nodes,
         network.source,
         network.sink,

@@ -22,7 +22,16 @@ from cmsvote import (
     verify_decomposition,
     vertex_cover_number,
 )
-from cmsvote.analysis import VC_REPORT_CAP, TreeDecomposition, UndirectedGraph
+from cmsvote.analysis import (
+    DEFAULT_WIDTH_THRESHOLD,
+    MAJORITY,
+    MINCUT,
+    TREEWIDTH,
+    VC_REPORT_CAP,
+    TreeDecomposition,
+    UndirectedGraph,
+    min_fill_width,
+)
 from cmsvote.model import approve, issue_ballot, make_profile
 
 from helpers import (
@@ -429,6 +438,50 @@ class TestClassify:
             assert classify(profile).per_voter_vertex_cover == tuple(expected), seed
             exceeding += expected.count(None)
         assert exceeding > 0
+
+    def test_widths_match_an_eager_probe(self):
+        # Every component's width probed up front, as classify once did,
+        # against the report's: filled in where routing reads it, on first
+        # read elsewhere.  Low thresholds put lazy components past the cap.
+        lazy_exceeding = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            profile = gen_random(
+                rng.randint(4, 30),
+                rng.randint(2, 8),
+                d_max=3,
+                delta_max=1 + seed % 3,
+                statement_density=rng.choice([0.1, 0.3, 0.6]),
+                seed=seed,
+                group_dichotomous=seed % 2 == 0,
+            )
+            threshold = rng.choice([1, 2, 3, DEFAULT_WIDTH_THRESHOLD])
+            graph = build_global_graph(profile)
+            eager = []
+            for issues in graph.components():
+                index = {j: t for t, j in enumerate(issues)}
+                sub = UndirectedGraph(
+                    len(issues),
+                    frozenset((index[u], index[v]) for u, v in graph.edges if u in index),
+                )
+                eager.append(min_fill_width(sub, threshold))
+
+            report = classify(profile, width_threshold=threshold)
+            lazy = [
+                c for c in report.components if c.route in (MAJORITY, MINCUT) or c.delta > 1
+            ]
+            assert all("heuristic_width" not in vars(c) for c in lazy), seed
+            assert all(
+                "heuristic_width" in vars(c)
+                for c in report.components
+                if c.route == TREEWIDTH
+            ), seed
+            assert [c.heuristic_width for c in report.components] == eager, seed
+            assert report.heuristic_width == (None if None in eager else max(eager))
+            if None in eager:
+                assert "heuristic_width exceeds" in report.to_kv()
+            lazy_exceeding += sum(c.heuristic_width is None for c in lazy)
+        assert lazy_exceeding > 0
 
     def test_report_equality_ignores_profile_reference(self):
         assert classify(build_p1()) == classify(build_p1())

@@ -147,6 +147,49 @@ class TestDispatch:
         classify(profile).to_text()
         assert len(calls) == profile.n
 
+    def test_routing_probes_no_width_for_majority_and_mincut(self, monkeypatch):
+        calls = []
+        original = analysis.min_fill_width
+
+        def counting(graph, width_cap):
+            calls.append(graph.n)
+            return original(graph, width_cap)
+
+        monkeypatch.setattr(analysis, "min_fill_width", counting)
+        profile = gen_random(
+            40, 20, delta_max=2, statement_density=0.02, seed=5, group_dichotomous=True
+        )
+        routes = {c.route for c in classify(profile).components}
+        assert routes == {"MAJORITY", "MINCUT"}
+        solve_profile(profile)
+        assert calls == []
+        # the counter does see the widths a report prints
+        classify(profile).to_text()
+        assert len(calls) == sum(1 for c in classify(profile).components if c.route == "MINCUT")
+
+    def test_whole_profile_component_is_verified_once(self, monkeypatch):
+        profile = gen_random(
+            30, 20, delta_max=2, statement_density=0.2, seed=3, group_dichotomous=True
+        )
+        (comp,) = classify(profile).components
+        assert comp.route == "MINCUT" and restrict_profile(profile, comp.issues) is profile
+
+        calls = []
+        original = model.voter_dissatisfaction
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(model, "voter_dissatisfaction", counting)
+        solution = solve_profile(profile)
+        assert len(calls) == profile.n
+        monkeypatch.undo()
+        assert solution == model.make_solution(profile, solution.outcome, "mincut")
+        # cross-validation keeps the merged check
+        checked = solve_profile(profile, SolveConfig(cross_validate=True))
+        assert checked == solution
+
     def test_verification_walks_component_voters_only(self, monkeypatch):
         # Each solver re-verifies its component on the sub-profile, which
         # holds only the voters with a ballot there; the merged check then

@@ -4,13 +4,14 @@ import itertools
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cmsvote import BudgetExceeded, gen_random, solve_brute, total_dissatisfaction
-from cmsvote import _dinic, _scan
-from cmsvote.mincut import build_network
+from cmsvote import _flow, _scan
+from cmsvote.mincut import build_network, compile_constraints
 from cmsvote.model import approve, issue_ballot, make_profile
 
 from helpers import (
@@ -164,7 +165,7 @@ class TestScan:
 
 
 def run_max_flow(network):
-    return _dinic.max_flow(
+    return _flow.max_flow(
         network.n_nodes,
         network.source,
         network.sink,
@@ -207,7 +208,69 @@ def residual_source_side(network, flow_dict):
     return reach
 
 
-class TestDinic:
+def assert_matches_networkx(network, label=None):
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(network.n_nodes))
+    for e in range(0, len(network.to), 2):
+        u, v = network.to[e ^ 1], network.to[e]
+        if graph.has_edge(u, v):
+            graph[u][v]["capacity"] += network.cap[e]
+        else:
+            graph.add_edge(u, v, capacity=network.cap[e])
+    expected, flow_dict = nx.maximum_flow(graph, network.source, network.sink)
+    cap = list(network.cap)
+    flow, side = run_max_flow(network)
+    assert network.cap == cap, label  # the kernel works on a copy
+    assert flow == expected, label
+    reach = residual_source_side(network, flow_dict)
+    assert {u for u in range(network.n_nodes) if side[u]} == reach, label
+
+
+@pytest.fixture
+def sink_bfs_calls(monkeypatch):
+    """Counts the kernel's exact relabels: the first labelling plus one per
+    global relabel."""
+    calls = []
+    original = _flow.sink_distances
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(_flow, "sink_distances", counting)
+    return calls
+
+
+def chain_network(length, bottleneck):
+    """source -> c0 -> ... -> c(length-1) -> sink, every link also open
+    backwards, all of infinite capacity except the forward arc out of
+    ``c(bottleneck)``, of capacity 1."""
+    source, sink = 0, 1
+    nodes = [2 + k for k in range(length)]
+    out = [[] for _ in range(length + 2)]
+    to, cap = [], []
+
+    def arc(u, v, c):
+        out[u].append(len(to))
+        out[v].append(len(to) + 1)
+        to.extend((v, u))
+        cap.extend((c, 0))
+
+    inf = 10**6
+    path = [source, *nodes, sink]
+    for k in range(len(path) - 1):
+        u, v = path[k], path[k + 1]
+        arc(u, v, 1 if u == 2 + bottleneck else inf)
+        if source not in (u, v) and sink not in (u, v):
+            arc(v, u, inf)
+    return SimpleNamespace(
+        n_nodes=length + 2, source=source, sink=sink, out=out, to=to, cap=cap
+    )
+
+
+class TestMaxFlow:
     def test_flow_and_cut_match_exhaustive_minimum(self):
         for seed in range(60):
             rng = random.Random(seed)
@@ -231,28 +294,49 @@ class TestDinic:
             assert crossing == flow
 
     def test_flow_and_source_side_match_networkx(self):
-        # 8-80 variables: past the exhaustive check, with level graphs deep
-        # enough that augmenting paths saturate arcs well inside the path.
-        import networkx as nx
-
+        # 8-80 variables: past the exhaustive check, with paths long enough
+        # that augmentations saturate arcs well inside the path.
         for seed in range(200):
             rng = random.Random(seed)
             n_vars = rng.randint(8, 80)
             constraints = random_constraints(rng, n_vars, rng.randint(n_vars, 4 * n_vars))
-            network = build_network(constraints, n_vars)
-            graph = nx.DiGraph()
-            graph.add_nodes_from(range(network.n_nodes))
-            for e in range(0, len(network.to), 2):
-                u, v = network.to[e ^ 1], network.to[e]
-                if graph.has_edge(u, v):
-                    graph[u][v]["capacity"] += network.cap[e]
-                else:
-                    graph.add_edge(u, v, capacity=network.cap[e])
-            expected, flow_dict = nx.maximum_flow(graph, network.source, network.sink)
-            flow, side = run_max_flow(network)
-            assert flow == expected, seed
-            reach = residual_source_side(network, flow_dict)
-            assert {u for u in range(network.n_nodes) if side[u]} == reach, seed
+            assert_matches_networkx(build_network(constraints, n_vars), seed)
+
+    @pytest.mark.parametrize("length,bottleneck", [(40, 20), (40, 39), (120, 60), (120, 119)])
+    def test_gap_ends_the_search(self, length, bottleneck, sink_bfs_calls):
+        # Once the unit path is saturated, the bottleneck's tail is the only
+        # node on its label, so relabelling it leaves a gap.  Without the gap
+        # rule the source side would climb to n in about n * bottleneck / 2
+        # local relabels, far past the first periodic global relabel.
+        network = chain_network(length, bottleneck)
+        flow, side = run_max_flow(network)
+        assert flow == 1
+        assert [u for u in range(network.n_nodes) if side[u]] == [
+            network.source,
+            *range(2, bottleneck + 3),
+        ]
+        assert sink_bfs_calls == [network.n_nodes]
+        assert_matches_networkx(network)
+
+    def test_global_relabels_keep_flow_and_source_side(self, sink_bfs_calls):
+        for seed in range(10):
+            rng = random.Random(seed)
+            constraints = random_constraints(rng, 400, 1200)
+            network = build_network(constraints, 400)
+            sink_bfs_calls.clear()
+            assert_matches_networkx(network, seed)
+            # the first labelling and at least two global relabels
+            assert len(sink_bfs_calls) >= 3, seed
+
+    def test_group_dichotomous_profile_network(self, sink_bfs_calls):
+        profile = gen_random(
+            500, 500, delta_max=2, statement_density=0.005, seed=1, group_dichotomous=True
+        )
+        constraints, _ = compile_constraints(profile)
+        network = build_network(constraints, profile.m)
+        assert network.n_nodes > 1500
+        assert_matches_networkx(network)
+        assert len(sink_bfs_calls) >= 3
 
 
 def test_import_loads_neither_numba_nor_scipy():
