@@ -159,13 +159,13 @@ class TestDispatch:
         profile = gen_random(
             40, 20, delta_max=2, statement_density=0.02, seed=5, group_dichotomous=True
         )
-        routes = {c.route for c in classify(profile).components}
-        assert routes == {"MAJORITY", "MINCUT"}
+        report = classify(profile)
+        assert {c.route for c in report.components} == {"MAJORITY", "MINCUT"}
         solve_profile(profile)
         assert calls == []
         # the counter does see the widths a report prints
-        classify(profile).to_text()
-        assert len(calls) == sum(1 for c in classify(profile).components if c.route == "MINCUT")
+        report.to_text()
+        assert len(calls) == sum(c.route == "MINCUT" for c in report.components)
 
     def test_whole_profile_component_is_verified_once(self, monkeypatch):
         profile = gen_random(
@@ -184,11 +184,11 @@ class TestDispatch:
         monkeypatch.setattr(model, "voter_dissatisfaction", counting)
         solution = solve_profile(profile)
         assert len(calls) == profile.n
+        # cross-validation keeps the merged check
+        assert solve_profile(profile, SolveConfig(cross_validate=True)) == solution
+        assert len(calls) == 3 * profile.n
         monkeypatch.undo()
         assert solution == model.make_solution(profile, solution.outcome, "mincut")
-        # cross-validation keeps the merged check
-        checked = solve_profile(profile, SolveConfig(cross_validate=True))
-        assert checked == solution
 
     def test_verification_walks_component_voters_only(self, monkeypatch):
         # Each solver re-verifies its component on the sub-profile, which
