@@ -3,12 +3,13 @@
 Voters cast per-issue approval sets that may be conditioned on the outcomes
 of other issues; the winning outcome minimizes the total number of
 (voter, issue) disagreements.  The package provides the ballot model, three
-exact solvers (exhaustive search, a min-cut reduction for group-dichotomous
-binary ballots, and dynamic programming over a tree decomposition for
-single-premise ballots, where the exhaustive search and the dynamic program
-share one factor-table compilation of the objective), structural analysis
-with automatic solver routing, instance generators built from classic
-hardness reductions, and text formats plus a CLI tying it together.
+exact solvers (bucket elimination in descending issue order for components
+whose outcome space fits a budget, a min-cut reduction for group-dichotomous
+binary ballots, and bucket elimination in a nice tree decomposition's forget
+order for single-premise ballots; the two bucket-elimination routes share
+one factor-table compilation of the objective and one kernel), structural
+analysis with automatic solver routing, instance generators built from
+classic hardness reductions, and text formats plus a CLI tying it together.
 """
 
 from ._scan import CostModel, compile_cost_model

@@ -1,8 +1,8 @@
-"""Factor tables of a profile plus the outcome-space scan over them.
+"""Factor tables of a profile plus the bucket-elimination kernel over them.
 
-This is the one compiler of a profile's objective, shared by the outcome
-scan here and the tree-decomposition dynamic program in ``treewidth``.
-Each (voter, issue) pair that can ever be dissatisfied becomes a 0/1
+This is the one compiler of a profile's objective and the one kernel that
+minimizes it, shared by the ``BRUTE`` and ``TREEWIDTH`` routes.  Each
+(voter, issue) pair that can ever be dissatisfied becomes a 0/1
 dissatisfaction table over its sorted axes ``scope ∪ {issue}``, one axis per
 issue with that issue's domain size, so a factor has any arity from 1 up.
 Tables of pairs that share an axis tuple are summed into one table per axis
@@ -12,22 +12,23 @@ broadcast sum is the total dissatisfaction of every outcome.
 Table layout and guards:
 
 - A table's cells count dissatisfied pairs, and so does every sum of cells
-  of distinct tables (a scanned block, a dynamic-program table), so no such
-  sum exceeds the number of pairs.  Cells are int32, or int64 from 2^31
-  pairs on.
-- The tables together hold the sum over axis tuples of the product of their
-  domain sizes.  That figure is predicted before anything is allocated and
-  checked against the caller's budget (``BudgetExceeded`` when larger).
+  of distinct tables (a bucket table, a message), so no such sum exceeds the
+  number of pairs.  Cells are int32, or int64 from 2^31 pairs on.
+- The factor tables together hold the sum over axis tuples of the product of
+  their domain sizes.  That figure is predicted before anything is allocated
+  and checked against the caller's budget (``BudgetExceeded`` when larger).
 
-The scan walks outcomes in mixed-radix counting order (issue 0 most
-significant, so ascending index order is lexicographic order of assignment
-vectors).  The leading axes are split off so that the trailing block holds
-at most ``block`` outcomes; for each prefix of leading values, every table
-is indexed by the prefix and added, broadcast over the trailing axes, into a
-zero block, whose flat C-order ``argmin`` is the first minimizer within it.
-A block's minimum replaces the best so far only when strictly smaller, so
-the scan returns the lexicographically first minimizing outcome, and it
-stops early once the best cost is 0.
+``eliminate`` minimizes the sum by bucket elimination (Dechter 1999;
+Bertelè & Brioschi 1972) along an order of the issues.  Each factor goes
+into the bucket of its first-eliminated axis.  A bucket adds its tables
+broadcast over its scope (its own issue first, the rest ascending), keeps
+the argmin over its issue (ties to the lowest alternative) and passes the
+minimum to the bucket of the next issue in the rest of its scope.  The
+traceback then sets the issues in reverse order.  The bucket tables'
+entries, the sum over buckets of the product of their scopes' domain sizes,
+follow from the factor axes alone; ``predict_entries`` computes them, and
+both routes check them against ``MAX_TABLE_ENTRIES`` with ``check_entries``
+before any bucket table is allocated.
 
 numpy is imported inside the functions that use it, as in the other
 kernels, so that importing the package (and ``cmsvote analyze``) does not
@@ -36,14 +37,16 @@ load it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .model import Profile
 
-BLOCK = 1 << 18  # outcomes per scanned block; its sums take at most 2 MiB
+# Bounds the work of one elimination: the sum over its buckets of the product
+# of their scopes' domain sizes.  Each bucket table is freed once its minimum
+# is passed on, so this is work rather than memory held at once.
+MAX_TABLE_ENTRIES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,7 @@ class CostModel:
     """A profile's objective as factor tables whose broadcast sum is the
     total dissatisfaction of every outcome."""
 
-    m: int
     dom: tuple
-    strides: tuple
-    total: int
     n_pairs: int
     factors: tuple  # (axes, table) per distinct axis tuple, axes ascending
 
@@ -80,14 +80,6 @@ def compile_cost_model(profile: Profile, budget: int) -> CostModel:
     import numpy as np
 
     dom = profile.domain_sizes()
-    m = profile.m
-    strides = []
-    acc = 1
-    for j in range(m - 1, -1, -1):
-        strides.append(acc)
-        acc *= dom[j]
-    strides.reverse()
-
     groups = {}
     n_pairs = 0
     for voter in profile.voters:
@@ -126,57 +118,95 @@ def compile_cost_model(profile: Profile, budget: int) -> CostModel:
                         table[tuple(cell)] -= 1
         factors.append((axes, table))
 
-    return CostModel(
-        m=m,
-        dom=dom,
-        strides=tuple(strides),
-        total=math.prod(dom),
-        n_pairs=n_pairs,
-        factors=tuple(factors),
-    )
+    return CostModel(dom=dom, n_pairs=n_pairs, factors=tuple(factors))
 
 
-def decode_outcome(compiled: CostModel, index: int) -> tuple:
-    digits = []
-    for j in range(compiled.m):
-        digits.append(int((index // int(compiled.strides[j])) % int(compiled.dom[j])))
-    return tuple(digits)
+def predict_entries(axes, dom, order) -> int:
+    """Entries of the bucket tables ``eliminate`` allocates along ``order``
+    for factors on the axis tuples ``axes``, found by eliminating the scopes
+    symbolically."""
+    order = list(order)
+    rank = {v: t for t, v in enumerate(order)}
+    scopes = [{v} for v in order]
+    for factor_axes in axes:
+        scopes[min(map(rank.__getitem__, factor_axes))].update(factor_axes)
+    entries = 0
+    for t, v in enumerate(order):
+        entries += math.prod(dom[k] for k in scopes[t])
+        rest = scopes[t] - {v}
+        if rest:
+            scopes[min(map(rank.__getitem__, rest))].update(rest)
+    return entries
 
 
-def scan_best(compiled: CostModel, block: int = BLOCK):
-    """(cost, index) of the lexicographically first minimizing outcome."""
+def check_entries(axes, dom, order) -> None:
+    """Raise BudgetExceeded when ``predict_entries`` is above
+    ``MAX_TABLE_ENTRIES``."""
+    entries = predict_entries(axes, dom, order)
+    if entries > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"bucket elimination needs {entries} table entries, "
+            f"limit is {MAX_TABLE_ENTRIES}"
+        )
+
+
+def eliminate(model: CostModel, order) -> tuple:
+    """(cost, outcome) minimizing the model, by bucket elimination along
+    ``order``, a permutation of the issues.
+
+    Any order gives the minimum cost; the order decides the table sizes and
+    which minimizer is returned.  Eliminating the issues in descending index
+    order returns the lexicographically first minimizing outcome.  Each
+    argmin table is stored in the smallest unsigned type that holds its
+    issue's alternatives.  The bucket tables hold ``predict_entries``
+    entries in total; callers bound that figure with ``check_entries``
+    first.
+    """
     import numpy as np
 
-    if compiled.total == 0:
-        raise ValueError("empty outcome space")
-    dom, m = compiled.dom, compiled.m
-    split = m
-    while split > 0 and math.prod(dom[split - 1 :]) <= block:
-        split -= 1
-    trailing = dom[split:]
-    size = math.prod(trailing)
+    order = list(order)
+    dom = model.dom
+    rank = {v: t for t, v in enumerate(order)}
+    buckets = [[] for _ in order]
+    for axes, table in model.factors:
+        buckets[min(map(rank.__getitem__, axes))].append((axes, table))
 
-    # Per table: its leading axes (indexed by the prefix) and the shape that
-    # broadcasts its trailing part over the block.
-    plans = []
-    for axes, table in compiled.factors:
-        lead = [k for k in axes if k < split]
-        shape = [dom[k] if k in axes else 1 for k in range(split, m)]
-        plans.append((lead, shape, table))
+    cost = 0
+    rests = []
+    choices = []
+    for t, v in enumerate(order):
+        # The table's first axis is v and the rest follow in ascending order,
+        # so each alternative of v owns one contiguous slab.  A part whose
+        # axes include v gets v's axis moved to the front; then a reshape
+        # that gives the part's axes their sizes and every other scope axis
+        # size 1 broadcasts it over the table.
+        rest = tuple(sorted(set().union(*(axes for axes, _ in buckets[t])) - {v}))
+        scope = (v, *rest)
+        table = np.zeros([dom[k] for k in scope], dtype=model.dtype)
+        for axes, part in buckets[t]:
+            if v in axes:
+                i = axes.index(v)
+                part = part.transpose(i, *range(i), *range(i + 1, part.ndim))
+            shape = [dom[k] if k in axes else 1 for k in scope]
+            np.add(table, part.reshape(shape), out=table)
+        buckets[t] = None
+        # Minimum and argmin over v, one slab at a time; only a strictly
+        # smaller cost moves the argmin, so ties go to the lowest alternative.
+        message = table[0]
+        choice = np.zeros(message.shape, dtype=np.min_scalar_type(dom[v] - 1))
+        for a in range(1, dom[v]):
+            np.copyto(choice, a, where=table[a] < message)
+            message = np.minimum(message, table[a])
+        choices.append(choice)
+        if rest:
+            buckets[min(map(rank.__getitem__, rest))].append((rest, message))
+        else:
+            cost += int(message)
+        rests.append(rest)
 
-    best_cost = None
-    best_index = 0
-    sums = np.empty(trailing, dtype=compiled.dtype)
-    for rank, prefix in enumerate(itertools.product(*map(range, dom[:split]))):
-        sums.fill(0)
-        for lead, shape, table in plans:
-            part = table[tuple(prefix[k] for k in lead)] if lead else table
-            np.add(sums, np.reshape(part, shape), out=sums)
-        local = int(np.argmin(sums))
-        cost = int(sums.flat[local])
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_index = rank * size + local
-            if best_cost == 0:
-                break
-    return best_cost, best_index
+    # Every issue of a bucket's rest is eliminated later, so its value is
+    # set before the bucket's own issue.
+    outcome = [0] * len(dom)
+    for t in range(len(order) - 1, -1, -1):
+        outcome[order[t]] = int(choices[t][tuple(outcome[k] for k in rests[t])])
+    return cost, tuple(outcome)

@@ -543,8 +543,8 @@ def heuristic_tree_decomposition(graph: UndirectedGraph) -> TreeDecomposition:
     """Tree decomposition from a min-fill elimination ordering.
 
     Ties are broken by minimum degree, then lowest vertex id.  The resulting
-    width is an upper bound on the treewidth; downstream dynamic programs are
-    correct for any valid decomposition, only their speed varies.
+    width is an upper bound on the treewidth; the tree-decomposition solver
+    is correct for any valid decomposition, only its speed varies.
     """
     if graph.n == 0:
         return TreeDecomposition((frozenset(),), ())

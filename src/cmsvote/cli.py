@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import generators, textio
-from .analysis import classify
+from .analysis import DEFAULT_BRUTE_BUDGET, DEFAULT_WIDTH_THRESHOLD, classify
 from .dispatch import SolveConfig, solve_profile
 from .errors import (
     BudgetExceeded,
@@ -61,8 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="exit 0 iff the optimum is at most S, else 1",
     )
-    solve.add_argument("--width-threshold", type=int, default=8)
-    solve.add_argument("--brute-budget", type=int, default=10_000_000)
+    solve.add_argument(
+        "--width-threshold", type=int, default=DEFAULT_WIDTH_THRESHOLD
+    )
+    solve.add_argument("--brute-budget", type=int, default=DEFAULT_BRUTE_BUDGET)
     solve.add_argument(
         "--cross-validate",
         action="store_true",
@@ -72,8 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="report structure and solver routing")
     analyze.add_argument("profile")
-    analyze.add_argument("--width-threshold", type=int, default=8)
-    analyze.add_argument("--brute-budget", type=int, default=10_000_000)
+    analyze.add_argument(
+        "--width-threshold", type=int, default=DEFAULT_WIDTH_THRESHOLD
+    )
+    analyze.add_argument("--brute-budget", type=int, default=DEFAULT_BRUTE_BUDGET)
     analyze.add_argument(
         "--kv", action="store_true", help="machine-readable key-value output"
     )

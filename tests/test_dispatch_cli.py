@@ -11,24 +11,40 @@ from cmsvote import (
     Intractable,
     analysis,
     classify,
+    gen_from_2csp,
+    gen_from_multicolored_clique,
+    gen_from_sat,
     gen_grid,
     gen_random,
     model,
+    solve_brute,
+    solve_mincut,
     solve_profile,
 )
 from cmsvote.analysis import component_outcome_space
 from cmsvote.cli import main
-from cmsvote.dispatch import SolveConfig, majority_alternative, restrict_profile
+from cmsvote.dispatch import (
+    METHODS,
+    SolveConfig,
+    majority_alternative,
+    restrict_profile,
+)
 from cmsvote.model import approve, issue_ballot, make_profile, total_dissatisfaction
 from cmsvote.textio import serialize_profile
 
 from helpers import (
     P1_DOC,
     child_env,
+    cnf_satisfiable,
     cost_on_issues,
+    csp_satisfiable,
+    has_multicolored_clique,
     naive_majority_alternative,
     naive_optimum,
     naive_restrict_profile,
+    random_cnf,
+    random_colored_graph,
+    random_csp,
 )
 
 
@@ -240,6 +256,78 @@ class TestDifferential:
         solution = solve_profile(profile, SolveConfig(cross_validate=True))
         assert solution.cost == naive_optimum(profile)[0]
         assert total_dissatisfaction(profile, solution.outcome) == solution.cost
+
+    def test_reductions_cost_zero_exactly_when_solvable(self):
+        # SAT, multicolored-clique and 2-CSP reductions: each profile's
+        # optimum is 0 iff its source instance has a solution.
+        cases = {"sat": [], "clique": [], "csp": []}
+        for seed in range(30):
+            rng = random.Random(seed)
+            cnf = random_cnf(rng, rng.randint(2, 6), rng.randint(1, 8))
+            cases["sat"].append(
+                (cnf_satisfiable(cnf), gen_from_sat(cnf, rng.randint(1, cnf.num_vars)))
+            )
+            graph = random_colored_graph(
+                rng, 3, rng.randint(2, 3), rng.uniform(0.2, 0.8)
+            )
+            cases["clique"].append(
+                (has_multicolored_clique(graph), gen_from_multicolored_clique(graph))
+            )
+            csp = random_csp(rng, 3, rng.randint(2, 3), 2)
+            cases["csp"].append((csp_satisfiable(csp), gen_from_2csp(csp)))
+        for family, instances in cases.items():
+            answers = set()
+            for seed, (solvable, profile) in enumerate(instances):
+                solution = solve_profile(profile, SolveConfig(cross_validate=True))
+                assert solution.cost == naive_optimum(profile)[0], (family, seed)
+                assert (solution.cost == 0) == solvable, (family, seed)
+                answers.add(solvable)
+            assert answers == {True, False}, family
+
+    def test_forced_methods_match_naive_optimum(self):
+        solved = {method: 0 for method in METHODS if method != "auto"}
+        for seed in range(80):
+            profile = gen_random(
+                6,
+                4,
+                d_max=2 + seed % 2,
+                delta_max=seed % 4,
+                statement_density=0.4,
+                seed=seed,
+                group_dichotomous=seed % 3 == 0,
+            )
+            expected = naive_optimum(profile)[0]
+            for method in solved:
+                try:
+                    solution = solve_profile(profile, SolveConfig(method=method))
+                except Intractable:
+                    continue
+                assert solution.cost == expected, (seed, method)
+                solved[method] += 1
+        assert all(solved.values()), solved
+
+    def test_brute_outcome_is_lexicographically_first(self):
+        for seed in range(120):
+            profile = gen_random(
+                7, 4, d_max=3, delta_max=seed % 4, statement_density=0.4, seed=seed
+            )
+            expected = naive_optimum(profile)[1]
+            assert solve_brute(profile).outcome == expected, seed
+            forced = solve_profile(profile, SolveConfig(method="brute"))
+            assert forced.outcome == expected, seed
+
+    def test_binary_mincut_outcome_is_lexicographically_first(self):
+        for seed in range(300):
+            profile = gen_random(
+                8,
+                5,
+                d_max=2,
+                delta_max=1 + seed % 3,
+                statement_density=0.4,
+                seed=seed,
+                group_dichotomous=True,
+            )
+            assert solve_mincut(profile).outcome == naive_optimum(profile)[1], seed
 
 
 class TestBallotIndex:

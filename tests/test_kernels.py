@@ -1,6 +1,7 @@
-"""The scan and max-flow kernels against independent oracles."""
+"""The bucket-elimination and max-flow kernels against independent oracles."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -19,38 +20,85 @@ from helpers import (
     exhaustive_min_violations,
     naive_optimum,
     random_constraints,
+    traced_peak,
 )
 
-# 1 scans outcome by outcome; 5 and 7 leave trailing blocks that do not
-# divide mixed 2/3 domains evenly; BLOCK covers every test space at once.
-BLOCKS = (1, 5, 7, 64, _scan.BLOCK)
 
-
-def scan(profile, block):
+def descending(profile):
+    """Bucket elimination in descending issue order, as ``solve_brute`` runs it."""
     compiled = _scan.compile_cost_model(profile, budget=10**7)
-    cost, index = _scan.scan_best(compiled, block)
-    return cost, _scan.decode_outcome(compiled, index)
+    return _scan.eliminate(compiled, range(profile.m - 1, -1, -1))
 
 
 def binary_issues(m):
     return [(f"x{j}", ("0", "1")) for j in range(m)]
 
 
+def binary_clique(m):
+    """m binary issues and one voter per pair of issues, who wants the later
+    one to differ from the earlier one."""
+    voters = [
+        (f"v{j}_{k}", [issue_ballot(k, (j,), {(0,): {1}, (1,): {0}})])
+        for j, k in itertools.combinations(range(m), 2)
+    ]
+    return make_profile(binary_issues(m), voters)
+
+
+def random_profile(seed):
+    rng = random.Random(seed)
+    return gen_random(
+        rng.randint(1, 6),
+        rng.randint(1, 5),
+        d_max=rng.choice((2, 3)),
+        delta_max=seed % 4,
+        statement_density=rng.random(),
+        seed=seed,
+    )
+
+
 class TestScan:
+    """The factor tables of ``_scan`` and the bucket-elimination kernel."""
+
     def test_matches_naive_optimum(self):
+        # The descending order returns the lexicographically first optimum.
         for seed in range(60):
-            rng = random.Random(seed)
-            profile = gen_random(
-                rng.randint(1, 6),
-                rng.randint(1, 5),
-                d_max=rng.choice((2, 3)),
-                delta_max=seed % 4,
-                statement_density=rng.random(),
-                seed=seed,
-            )
-            expected = naive_optimum(profile)
-            for block in BLOCKS:
-                assert scan(profile, block) == expected, (seed, block)
+            profile = random_profile(seed)
+            assert descending(profile) == naive_optimum(profile), seed
+
+    def test_random_orders_are_exact(self):
+        for seed in range(120):
+            profile = random_profile(seed)
+            order = list(range(profile.m))
+            random.Random(seed).shuffle(order)
+            compiled = _scan.compile_cost_model(profile, budget=10**7)
+            cost, outcome = _scan.eliminate(compiled, order)
+            assert cost == naive_optimum(profile)[0], (seed, order)
+            assert total_dissatisfaction(profile, outcome) == cost, (seed, order)
+
+    def test_predicted_entries_are_allocated(self, monkeypatch):
+        # Every bucket table starts as np.zeros over the bucket's scope in the
+        # model's count type; argmin tables take an unsigned type.
+        allocated = []
+        zeros = np.zeros
+
+        def counting(shape, dtype):
+            if dtype == np.int32:
+                allocated.append(math.prod(shape))
+            return zeros(shape, dtype)
+
+        monkeypatch.setattr(np, "zeros", counting)
+        for seed in range(60):
+            profile = random_profile(seed)
+            compiled = _scan.compile_cost_model(profile, budget=10**7)
+            axes = [axes for axes, _ in compiled.factors]
+            order = list(range(profile.m))
+            for shuffle in range(3):
+                random.Random(seed * 3 + shuffle).shuffle(order)
+                allocated.clear()
+                _scan.eliminate(compiled, order)
+                predicted = _scan.predict_entries(axes, compiled.dom, order)
+                assert sum(allocated) == predicted, (seed, order)
+                assert len(allocated) == profile.m
 
     def test_factor_tables_sum_to_every_outcome_cost(self):
         # 20 profiles with scopes up to 3, then 200 with single-premise scopes
@@ -86,8 +134,7 @@ class TestScan:
         assert axes == (0, 1, 2)
         for outcome in itertools.product((0, 1), repeat=3):
             assert table[outcome] == total_dissatisfaction(profile, outcome)
-        for block in BLOCKS:
-            assert scan(profile, block) == naive_optimum(profile) == (1, (0, 0, 1))
+        assert descending(profile) == naive_optimum(profile) == (1, (0, 0, 1))
 
     @pytest.mark.parametrize("n_pairs", [127, 128, 129, 32768])
     def test_every_pair_dissatisfied_at_one_outcome(self, n_pairs):
@@ -103,8 +150,7 @@ class TestScan:
         expected = (0, (1, 0))
         assert naive_optimum(profile) == expected
         assert solve_brute(profile).outcome == expected[1]
-        for block in BLOCKS:
-            assert scan(profile, block) == expected
+        assert descending(profile) == expected
 
     def test_count_dtype_widens_at_two_to_the_31_pairs(self):
         for n_pairs in (0, 1, 128, 32768, 2**31 - 1, 2**31, 2**40):
@@ -125,17 +171,7 @@ class TestScan:
             ],
         )
         for profile, cost in ((approve_all, 0), (never_satisfied, 2)):
-            for block in BLOCKS:
-                assert scan(profile, block) == (cost, (0,) * profile.m)
-
-    def test_stops_at_the_first_zero_cost_block(self):
-        # 2^40 outcomes: only the early exit lets this finish.  The leading
-        # 22 axes index the blocks, so issue 21 = 1 is the second block.
-        profile = make_profile(binary_issues(40), [("v", [approve(21, {1})])])
-        compiled = _scan.compile_cost_model(profile, budget=10**7)
-        assert _scan.scan_best(compiled) == (0, _scan.BLOCK)
-        outcome = _scan.decode_outcome(compiled, _scan.BLOCK)
-        assert outcome == tuple(int(j == 21) for j in range(40))
+            assert descending(profile) == (cost, (0,) * profile.m)
 
     def test_table_budget_fails_before_allocating(self, monkeypatch):
         # 8 outcomes, but seven axis tuples hold 2 + 2 + 2 + 4 + 4 + 4 + 8.
@@ -158,10 +194,27 @@ class TestScan:
         with pytest.raises(BudgetExceeded, match="need 26 entries"):
             solve_brute(profile, budget=25)
 
-    def test_empty_outcome_space(self):
-        profile = make_profile([("A", ())], [("v", [])])
-        with pytest.raises(ValueError):
-            _scan.scan_best(_scan.compile_cost_model(profile, budget=10))
+    def test_binary_clique_memory(self):
+        # 2^23 outcomes, just under the default budget, and a best split of
+        # 11 + 12 leaves 55 + 66 equal pairs.  Descending elimination
+        # allocates 2^24 - 2 table entries, at most 2^23 of them at once.
+        profile = binary_clique(23)
+        assert profile.n == 253
+        solution, peak = traced_peak(lambda: solve_brute(profile))
+        assert solution.cost == 121
+        assert peak < 100 * 2**20
+
+    def test_raised_budget_fails_before_bucket_tables(self):
+        # 2^27 outcomes fit a raised budget, but descending elimination
+        # would need 2^28 - 2 table entries, over MAX_TABLE_ENTRIES.
+        profile = binary_clique(27)
+
+        def attempt():
+            with pytest.raises(BudgetExceeded, match="268435454 table entries"):
+                solve_brute(profile, budget=2**27)
+
+        _, peak = traced_peak(attempt)
+        assert peak < 10 * 2**20
 
 
 def run_max_flow(network):

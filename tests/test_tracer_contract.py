@@ -1,0 +1,57 @@
+"""The benchmark's outside tracer (``cmsbench/tracing.py``) wraps package
+attributes by name, so a package change that drops or renames one of them
+would stop every traced benchmark run.  These tests load the tracer by path,
+unchanged, and check the names against the package."""
+
+import importlib
+import importlib.util
+import pathlib
+
+from cmsvote import dispatch, gen_grid, gen_random
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "cmsbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("cmsbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_is_a_package_callable():
+    wrapped = load_tracing().WRAPPED
+    assert wrapped
+    for module_name, attr, _ in wrapped:
+        assert module_name.split(".")[0] == "cmsvote", module_name
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_traced_solves_settle_and_uninstall():
+    tracing = load_tracing()
+    originals = [
+        getattr(importlib.import_module(module_name), attr)
+        for module_name, attr, _ in tracing.WRAPPED
+    ]
+    # One MINCUT, one TREEWIDTH and one BRUTE component.
+    profiles = [
+        gen_grid(3),
+        gen_random(6, 4, d_max=3, delta_max=1, statement_density=0.5, seed=3),
+        gen_random(6, 4, d_max=3, delta_max=2, statement_density=0.5, seed=3),
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for profile in profiles:
+            dispatch.solve_profile(profile)
+    finally:
+        tracer.uninstall()
+    tracer.settle(0)
+    restored = [
+        getattr(importlib.import_module(module_name), attr)
+        for module_name, attr, _ in tracing.WRAPPED
+    ]
+    assert restored == originals
+    names = {record[0] for record in tracer.spans}
+    assert {"dispatch", "mincut", "treewidth", "treewidth.nice", "brute"} <= names

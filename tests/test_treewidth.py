@@ -113,7 +113,8 @@ class TestCostModel:
         assert table.tolist() == [[0, 2], [2, 0]]
 
     def test_rejects_wide_scopes(self):
-        # The compiler takes factors of any arity; the dynamic program does not.
+        # The compiler takes factors of any arity; the tree-decomposition
+        # route does not.
         profile = make_profile(
             [("A", ("0", "1")), ("B", ("0", "1")), ("C", ("0", "1"))],
             [("v", [issue_ballot(2, (0, 1), {(0, 0): {0}})])],
@@ -173,6 +174,16 @@ class TestSolveTreewidth:
         with pytest.raises(InvalidDecomposition):
             solve_treewidth(profile, nice)
 
+    def test_rejects_decomposition_that_never_forgets_an_issue(self):
+        # The bags cover both issues and their edge, but issue 0 stays in
+        # the root bag, so the forget order is no elimination order.
+        leaf = NiceNode("leaf", (), None, ())
+        bag0 = NiceNode("introduce", (0,), 0, (leaf,))
+        bag01 = NiceNode("introduce", (0, 1), 1, (bag0,))
+        nice = NiceTreeDecomposition(NiceNode("forget", (0,), 1, (bag01,)))
+        with pytest.raises(InvalidDecomposition, match="forgotten exactly once"):
+            solve_treewidth(build_p1(), nice)
+
     def test_forget_tie_breaks_toward_low_alternatives(self):
         profile = make_profile(
             [("A", ("0", "1")), ("B", ("0", "1"))],
@@ -228,10 +239,10 @@ class TestOutcomeIdentity:
 class TestTableLimit:
     def test_oversized_tables_fail_before_allocation(self):
         # The 7 x 7 grid of 8-alternative issues routes TREEWIDTH at width 8,
-        # and its nice decomposition needs about 1.02e9 table entries
-        # (7.6 GiB).  Two 12,000-alternative issues joined by one ballot need
-        # 1.44e8, and their edge factor alone would take 576 MB: the bags
-        # are checked before any factor table is compiled.
+        # and elimination in its forget order needs 339,335,752 table
+        # entries.  Two 12,000-alternative issues joined by one ballot need
+        # 1.44e8, and their edge factor alone would take 576 MB: the bucket
+        # tables are checked before any factor table is compiled.
         grid = agreement_grid(7, 8)
         assert [c.route for c in classify(grid).components] == ["TREEWIDTH"]
         wide = tuple(str(a) for a in range(12_000))
