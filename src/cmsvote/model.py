@@ -16,10 +16,14 @@ Representation notes:
   issues index 0 and 1 play the low/high roles used by the group-dichotomy
   machinery.
 - Ballots are stored sparsely: an issue absent from a voter's ballot map is
-  an unconditional approve-everything ballot.  ``make_profile`` canonicalizes
-  explicit approve-all entries away so structural equality is meaningful.
+  an unconditional approve-everything ballot.  ``make_profile`` (and
+  ``parse_profile`` as it reads) canonicalizes explicit approve-all entries
+  away so structural equality is meaningful.
 - All types are frozen dataclasses, and their dict fields (a voter's
   ballots, a ballot's statements) are plain dicts treated as read-only.
+  Approval sets and scope and premise tuples are immutable and may be
+  shared between ballots (the parser shares them within a document); a
+  statement dict is never shared, so each ballot owns its own.
   Every operation is a pure function, so concurrent use needs no locking.
   ``Profile`` relies on this to cache derived facts on first use: the
   domain sizes and a per-issue index of the explicit ballots

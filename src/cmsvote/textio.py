@@ -19,6 +19,15 @@ lines of one (voter, target) must agree on the premise issue set, and
 declares a conditional ballot's premise issues without any statement: such a
 ballot is never satisfied (the serializer only emits it for statement-free
 conditional ballots).  Duplicate premises are merged with a warning.
+Counts are ASCII digits.
+
+``parse_profile`` reads a document in one pass over the rows that ``_rows``
+yields line by line, so no list of rows is held.  Within one document each
+premise text is parsed once and its (scope, premise) tuples are shared by
+every ballot that uses it, and each issue's approval tokens map to one shared
+frozenset.  Only these immutable values are shared: every ballot gets its own
+statement dict.  Unconditional ballots that approve every alternative are
+dropped while parsing, as ``make_profile`` drops them.
 
 Solution documents::
 
@@ -26,6 +35,8 @@ Solution documents::
     cost <int>
     assign <issue> <alt>         # one line per issue
     voter <name> dissat <int>    # optional breakdown
+
+Integers there are an optional ``-`` followed by ASCII digits.
 
 DIMACS CNF (``p cnf`` header, 0-terminated clauses), colored graphs
 (``class <color> <vertex>+`` and ``edge <u> <v>`` lines) and binary CSPs
@@ -40,7 +51,7 @@ import warnings
 
 from .errors import ParseError
 from .generators import CnfFormula, ColoredGraph, CspInstance
-from .model import IssueBallot, Profile, Solution, make_profile
+from .model import Issue, IssueBallot, Profile, Solution, Voter
 
 
 class FormatWarning(UserWarning):
@@ -51,17 +62,38 @@ _COND_SYNTAX = "expected 'cond <target> if <issue>=<alt>,... then <alt>+'"
 
 
 def _rows(text):
-    out = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((ln, body.split()))
-    return out
+    """The (line number, tokens) of each line with a token, comments cut."""
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        tokens = line.split()
+        if tokens:
+            yield ln, tokens
+
+
+def _take(rows, ln, what):
+    """The next row; ``ln`` is the last row read, which an end-of-document
+    error names."""
+    row = next(rows, None)
+    if row is None:
+        raise ParseError(ln, f"unexpected end of document, expected {what}")
+    return row
+
+
+def _is_count(token):
+    """Whether the token is ASCII digits only."""
+    return token.isascii() and token.isdigit()
+
+
+def _signed_int(token):
+    """The value of an optional '-' followed by ASCII digits, else None."""
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if _is_count(digits) else None
 
 
 class _Cursor:
     def __init__(self, text):
-        self.rows = _rows(text)
+        self.rows = list(_rows(text))
         self.pos = 0
 
     def peek(self):
@@ -79,18 +111,21 @@ class _Cursor:
 def parse_profile(text: str) -> Profile:
     """Parse a profile document; raises ParseError with a line number.
 
-    Ballots are assembled canonical while the lines are read (sorted scope,
-    aligned premises, merged duplicates), so each equals what
-    ``issue_ballot`` would build from the same statements without a second
-    pass over them.
+    One pass over the rows as ``_rows`` yields them.  Ballots are assembled
+    canonical while the lines are read (sorted scope, aligned premises,
+    merged duplicates), so each equals what ``issue_ballot`` would build from
+    the same statements, and approve-all unconditional ballots are dropped
+    as ``make_profile`` drops them.  Each premise text is parsed once per
+    document and each issue's approval tokens are read into one shared
+    frozenset; every ballot gets its own statement dict.
     """
-    cur = _Cursor(text)
-    ln, tokens = cur.take("'cmsprofile 1' header")
+    rows = _rows(text)
+    ln, tokens = _take(rows, 1, "'cmsprofile 1' header")
     if tokens != ["cmsprofile", "1"]:
         raise ParseError(ln, "expected header 'cmsprofile 1'")
 
-    ln, tokens = cur.take("'issues <m>'")
-    if len(tokens) != 2 or tokens[0] != "issues" or not tokens[1].isdecimal():
+    ln, tokens = _take(rows, ln, "'issues <m>'")
+    if len(tokens) != 2 or tokens[0] != "issues" or not _is_count(tokens[1]):
         raise ParseError(ln, "expected 'issues <m>'")
     m = int(tokens[1])
     if m < 1:
@@ -100,7 +135,7 @@ def parse_profile(text: str) -> Profile:
     issue_index = {}
     alt_index = []
     for _ in range(m):
-        ln, tokens = cur.take("'issue <name> <alt>+'")
+        ln, tokens = _take(rows, ln, "'issue <name> <alt>+'")
         if len(tokens) < 2 or tokens[0] != "issue":
             raise ParseError(ln, "expected 'issue <name> <alt>+'")
         name, alts = tokens[1], tokens[2:]
@@ -108,46 +143,77 @@ def parse_profile(text: str) -> Profile:
             raise ParseError(ln, f"issue {name!r} needs at least two alternatives")
         if name in issue_index:
             raise ParseError(ln, f"issue name {name!r} already used")
-        if len(set(alts)) != len(alts):
+        table = dict(zip(alts, range(len(alts))))
+        if len(table) != len(alts):
             raise ParseError(ln, f"issue {name!r} repeats an alternative name")
         issue_index[name] = len(issues)
-        alt_index.append({alt: a for a, alt in enumerate(alts)})
-        issues.append((name, tuple(alts)))
+        alt_index.append(table)
+        issues.append(Issue(name, tuple(alts)))
 
-    ln, tokens = cur.take("'voters <n>'")
-    if len(tokens) != 2 or tokens[0] != "voters" or not tokens[1].isdecimal():
+    ln, tokens = _take(rows, ln, "'voters <n>'")
+    if len(tokens) != 2 or tokens[0] != "voters" or not _is_count(tokens[1]):
         raise ParseError(ln, "expected 'voters <n>'")
     n = int(tokens[1])
     if n < 1:
         raise ParseError(ln, "profiles need at least one voter")
 
+    premises = {}  # premise text -> (scope, premise)
+    approvals = [{} for _ in range(m)]  # per issue: alternative tokens -> frozenset
+
+    def parse_premise(ln, premise_text):
+        pairs = []
+        for part in premise_text.split(","):
+            issue_name, eq, alt_name = part.partition("=")
+            if not eq or "=" in alt_name:
+                raise ParseError(ln, f"malformed premise entry {part!r}")
+            k = issue_index.get(issue_name)
+            if k is None:
+                raise ParseError(ln, f"unknown issue {issue_name!r}")
+            v = alt_index[k].get(alt_name)
+            if v is None:
+                raise unknown_alternative(ln, k, (alt_name,))
+            pairs.append((k, v))
+        pairs.sort()
+        scope, premise = parsed = tuple(zip(*pairs))
+        if len(set(scope)) != len(scope):
+            raise ParseError(ln, "premise repeats an issue")
+        premises[premise_text] = parsed
+        return parsed
+
+    def approval(ln, j, alt_tokens):
+        table = alt_index[j]
+        try:
+            approved = frozenset([table[a] for a in alt_tokens])
+        except KeyError:
+            raise unknown_alternative(ln, j, alt_tokens) from None
+        approvals[j][alt_tokens] = approved
+        return approved
+
     def unknown_alternative(ln, j, names):
         table = alt_index[j]
         name = next(a for a in names if a not in table)
-        return ParseError(ln, f"unknown alternative {name!r} for issue {issues[j][0]!r}")
+        return ParseError(ln, f"unknown alternative {name!r} for issue {issues[j].name!r}")
 
     def conditional_draft(drafts, ln, target, j, scope):
-        """The target's draft for a cond or depends line over ``scope``."""
-        if len(set(scope)) != len(scope):
-            raise ParseError(ln, "premise repeats an issue")
+        """The target's ballot for a cond or depends line over ``scope``, a
+        sorted tuple without repeats."""
         if j in scope:
             raise ParseError(ln, f"self-premise: {target!r} conditions on itself")
         draft = drafts.get(j)
         if draft is None:
-            draft = drafts[j] = (scope, {})
-        elif not draft[0]:
+            draft = drafts[j] = IssueBallot(j, scope, {})
+        elif not draft.scope:
             raise ParseError(ln, f"issue {target!r} already has an approval line")
-        elif draft[0] != scope:
+        elif draft.scope != scope:
             raise ParseError(
-                ln, f"inconsistent scope for issue {target!r}: saw {draft[0]} before"
+                ln, f"inconsistent scope for issue {target!r}: saw {draft.scope} before"
             )
         return draft
 
-    rows = cur.rows
     voters = []
     voter_names = set()
     for _ in range(n):
-        ln, tokens = cur.take("'voter <name>'")
+        ln, tokens = _take(rows, ln, "'voter <name>'")
         if len(tokens) != 2 or tokens[0] != "voter":
             raise ParseError(ln, "expected 'voter <name>'")
         voter_name = tokens[1]
@@ -155,18 +221,11 @@ def parse_profile(text: str) -> Profile:
             raise ParseError(ln, f"voter name {voter_name!r} already used")
         voter_names.add(voter_name)
 
-        # target -> (scope, statements), canonical as read: the scope is
-        # sorted, each premise follows it and repeated lines merge into one
-        # approval set.  Only approve lines have the empty scope.
+        # target -> its ballot, canonical as read: the scope is sorted, each
+        # premise follows it and repeated lines merge into one approval set.
+        # Only approve lines have the empty scope.
         drafts = {}
-        pos = cur.pos
-        while True:
-            if pos == len(rows):
-                raise ParseError(
-                    rows[-1][0], "unexpected end of document, expected a ballot line or 'end'"
-                )
-            ln, tokens = rows[pos]
-            pos += 1
+        for ln, tokens in rows:
             kind = tokens[0]
             if kind == "cond":
                 if len(tokens) < 6 or tokens[2] != "if":
@@ -180,29 +239,21 @@ def parse_profile(text: str) -> Profile:
                 except ValueError:
                     raise ParseError(ln, _COND_SYNTAX)
                 premise_text = "".join(tokens[3:then_at])
-                alt_tokens = tokens[then_at + 1 :]
+                alt_tokens = tuple(tokens[then_at + 1 :])
                 if not premise_text or not alt_tokens:
                     raise ParseError(ln, "conditional lines need a premise and alternatives")
-                pairs = []
-                for part in premise_text.split(","):
-                    issue_name, eq, alt_name = part.partition("=")
-                    if not eq or "=" in alt_name:
-                        raise ParseError(ln, f"malformed premise entry {part!r}")
-                    k = issue_index.get(issue_name)
-                    if k is None:
-                        raise ParseError(ln, f"unknown issue {issue_name!r}")
-                    v = alt_index[k].get(alt_name)
-                    if v is None:
-                        raise unknown_alternative(ln, k, (alt_name,))
-                    pairs.append((k, v))
-                pairs.sort()
-                scope, premise = zip(*pairs)
-                statements = conditional_draft(drafts, ln, target, j, scope)[1]
-                table = alt_index[j]
-                try:
-                    approved = frozenset([table[a] for a in alt_tokens])
-                except KeyError:
-                    raise unknown_alternative(ln, j, alt_tokens) from None
+                parsed = premises.get(premise_text)
+                if parsed is None:
+                    parsed = parse_premise(ln, premise_text)
+                scope, premise = parsed
+                # A draft over this scope passed conditional_draft's checks.
+                draft = drafts.get(j)
+                if draft is None or draft.scope != scope:
+                    draft = conditional_draft(drafts, ln, target, j, scope)
+                statements = draft.statements
+                approved = approvals[j].get(alt_tokens)
+                if approved is None:
+                    approved = approval(ln, j, alt_tokens)
                 if premise in statements:
                     warnings.warn(
                         f"line {ln}: duplicate premise for issue {target!r} merged",
@@ -219,22 +270,21 @@ def parse_profile(text: str) -> Profile:
                 if j is None:
                     raise ParseError(ln, f"unknown issue {target!r}")
                 draft = drafts.get(j)
-                if draft is not None and draft[0]:
+                if draft is not None and draft.scope:
                     raise ParseError(ln, f"issue {target!r} already has conditional lines")
-                table = alt_index[j]
-                try:
-                    approved = frozenset([table[a] for a in tokens[2:]])
-                except KeyError:
-                    raise unknown_alternative(ln, j, tokens[2:]) from None
+                alt_tokens = tuple(tokens[2:])
+                approved = approvals[j].get(alt_tokens)
+                if approved is None:
+                    approved = approval(ln, j, alt_tokens)
                 if draft is None:
-                    drafts[j] = ((), {(): approved})
+                    drafts[j] = IssueBallot(j, (), {(): approved})
                 else:
                     warnings.warn(
                         f"line {ln}: duplicate approval for issue {target!r} merged",
                         FormatWarning,
                         stacklevel=2,
                     )
-                    draft[1][()] = approved | draft[1][()]
+                    draft.statements[()] = approved | draft.statements[()]
             elif kind == "end":
                 if len(tokens) != 1:
                     raise ParseError(ln, "'end' takes no arguments")
@@ -252,19 +302,24 @@ def parse_profile(text: str) -> Profile:
                     if k is None:
                         raise ParseError(ln, f"unknown issue {name!r}")
                     members.append(k)
+                if len(set(members)) != len(members):
+                    raise ParseError(ln, "premise repeats an issue")
                 conditional_draft(drafts, ln, target, j, tuple(sorted(members)))
             else:
                 raise ParseError(ln, f"unknown directive {kind!r}")
-        cur.pos = pos
-        ballots = [
-            IssueBallot(j, scope, statements) for j, (scope, statements) in drafts.items()
-        ]
-        voters.append((voter_name, ballots))
+        else:
+            raise ParseError(ln, "unexpected end of document, expected a ballot line or 'end'")
+        # Approve-all unconditional ballots are the implicit default.
+        ballots = {
+            j: ballot
+            for j, ballot in drafts.items()
+            if ballot.scope or len(ballot.statements[()]) != len(alt_index[j])
+        }
+        voters.append(Voter(voter_name, ballots))
 
-    if cur.peek() is not None:
-        ln, _ = cur.peek()
+    for ln, _ in rows:
         raise ParseError(ln, "unexpected content after the last voter block")
-    return make_profile(issues, voters)
+    return Profile(tuple(issues), tuple(voters))
 
 
 def _check_token(name: str) -> str:
@@ -336,9 +391,8 @@ def parse_solution(text: str, profile: Profile):
     ln, tokens = cur.take("'cost <int>'")
     if len(tokens) != 2 or tokens[0] != "cost":
         raise ParseError(ln, "expected 'cost <int>'")
-    try:
-        cost = int(tokens[1])
-    except ValueError:
+    cost = _signed_int(tokens[1])
+    if cost is None:
         raise ParseError(ln, f"cost {tokens[1]!r} is not an integer")
 
     issue_index = {issue.name: j for j, issue in enumerate(profile.issues)}
@@ -364,10 +418,10 @@ def parse_solution(text: str, profile: Profile):
                 raise ParseError(ln, "expected 'voter <name> dissat <int>'")
             if tokens[1] not in voter_names:
                 raise ParseError(ln, f"unknown voter {tokens[1]!r}")
-            try:
-                per_voter[tokens[1]] = int(tokens[3])
-            except ValueError:
+            dissat = _signed_int(tokens[3])
+            if dissat is None:
                 raise ParseError(ln, f"dissatisfaction {tokens[3]!r} is not an integer")
+            per_voter[tokens[1]] = dissat
         else:
             raise ParseError(ln, f"unknown directive {tokens[0]!r}")
     missing = [profile.issues[j].name for j in range(profile.m) if j not in assignment]

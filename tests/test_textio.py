@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -139,13 +141,16 @@ end
             parse_profile(P1_DOC + "voter extra\nend\n")
 
     def test_non_decimal_digit_counts(self):
-        # "²".isdigit() holds but int("²") fails: both are parse errors.
-        with pytest.raises(ParseError) as err:
-            parse_profile(P1_DOC.replace("issues 2", "issues ²"))
-        assert err.value.line == 2
-        with pytest.raises(ParseError) as err:
-            parse_profile(P1_DOC.replace("voters 2", "voters ³"))
-        assert err.value.line == 5
+        # Counts are ASCII digits only.  "²".isdigit() holds but int("²")
+        # fails, and int() reads the Arabic-Indic "٢", the fullwidth "２",
+        # "+2" and "2_0", which the serializer would write back as other bytes.
+        for count in ("²", "٢", "２", "+2", "2_0"):
+            with pytest.raises(ParseError) as err:
+                parse_profile(P1_DOC.replace("issues 2", f"issues {count}"))
+            assert err.value.line == 2
+            with pytest.raises(ParseError) as err:
+                parse_profile(P1_DOC.replace("voters 2", f"voters {count}"))
+            assert err.value.line == 5
 
     def test_missing_end(self):
         with pytest.raises(ParseError):
@@ -236,6 +241,62 @@ end
                 assert all(type(a) is frozenset for a in ballot.statements.values())
                 assert ballot == issue_ballot(j, ballot.scope, ballot.statements)
 
+    def test_shared_approval_sets_survive_a_merge(self):
+        # Both voters' "then 0" lines share one interned approval set; the
+        # merge in v1's ballot must leave v2's ballot as it was filed.
+        doc = """cmsprofile 1
+issues 2
+issue A 0 1
+issue B 0 1
+voters 2
+voter v1
+cond B if A=0 then 0
+cond B if A=0 then 1
+end
+voter v2
+cond B if A=0 then 0
+end
+"""
+        with pytest.warns(FormatWarning, match="line 8: duplicate premise"):
+            profile = parse_profile(doc)
+        first, second = (voter.ballots[1] for voter in profile.voters)
+        assert first == issue_ballot(1, (0,), {(0,): {0, 1}})
+        assert second == issue_ballot(1, (0,), {(0,): {0}})
+        assert first.statements is not second.statements
+
+    def test_parses_share_no_statement_dict(self):
+        profile = gen_random(8, 30, d_max=3, delta_max=2, statement_density=0.5, seed=4)
+        text = serialize_profile(profile)
+        first, second = parse_profile(text), parse_profile(text)
+        assert first == second == profile
+        dicts = [
+            id(ballot.statements)
+            for parsed in (first, second)
+            for voter in parsed.voters
+            for ballot in voter.ballots.values()
+        ]
+        assert len(dicts) > 60
+        assert len(set(dicts)) == len(dicts)
+
+    def test_parse_peak_memory(self):
+        # The parser streams its rows and shares premise and approval
+        # values, so its peak stays close to the profile it returns.
+        text = serialize_profile(
+            gen_random(
+                500, 500, delta_max=2, statement_density=0.005, seed=1,
+                group_dichotomous=True,
+            )
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            profile = parse_profile(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.n == 500
+        assert peak <= 1.6 * retained, (peak, retained)
+
     def test_comments_and_crlf(self):
         doc = P1_DOC.replace("\n", "  # trailing\r\n", 1)
         assert parse_profile(doc) == build_p1()
@@ -288,6 +349,25 @@ class TestSolutionDocuments:
         with pytest.raises(ParseError) as err:
             parse_solution(text, p1)
         assert "missing issues" in str(err.value)
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "٣", "１", "1.0", "-", "--1"])
+    def test_non_canonical_integers_rejected(self, token):
+        # int() reads "1_0" as 10, "+1" as 1 and "٣" as 3, so verify would
+        # confirm a cost the document does not spell.
+        p1 = build_p1()
+        cost_doc = f"cmssolution 1\ncost {token}\nassign A 0\nassign B 0\n"
+        with pytest.raises(ParseError) as err:
+            parse_solution(cost_doc, p1)
+        assert err.value.line == 2
+        dissat_doc = f"cmssolution 1\ncost 1\nassign A 0\nassign B 0\nvoter v1 dissat {token}\n"
+        with pytest.raises(ParseError) as err:
+            parse_solution(dissat_doc, p1)
+        assert err.value.line == 5
+
+    def test_negative_integers_parse(self):
+        # A negative claim parses, so verify reports it as a mismatch.
+        text = "cmssolution 1\ncost -3\nassign A 0\nassign B 0\nvoter v1 dissat -1\n"
+        assert parse_solution(text, build_p1()) == (-3, (0, 0), {"v1": -1})
 
     def test_duplicate_and_unknown(self):
         p1 = build_p1()
