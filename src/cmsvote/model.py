@@ -18,12 +18,13 @@ Representation notes:
 - Ballots are stored sparsely: an issue absent from a voter's ballot map is
   an unconditional approve-everything ballot.  ``make_profile`` (and
   ``parse_profile`` as it reads) canonicalizes explicit approve-all entries
-  away so structural equality is meaningful.
+  away, as ``approves_all`` decides them, so structural equality is
+  meaningful.
 - All types are frozen dataclasses, and their dict fields (a voter's
   ballots, a ballot's statements) are plain dicts treated as read-only.
   Approval sets and scope and premise tuples are immutable and may be
-  shared between ballots (the parser shares them within a document); a
-  statement dict is never shared, so each ballot owns its own.
+  shared between ballots (the parser shares approval sets within a
+  document); a statement dict is never shared, so each ballot owns its own.
   Every operation is a pure function, so concurrent use needs no locking.
   ``Profile`` relies on this to cache derived facts on first use: the
   domain sizes and a per-issue index of the explicit ballots
@@ -174,6 +175,12 @@ def approve(issue: int, approved: Iterable) -> IssueBallot:
     return IssueBallot(issue, (), {(): frozenset(approved)})
 
 
+def approves_all(ballot: IssueBallot, domain_size: int) -> bool:
+    """Whether the ballot approves all ``domain_size`` alternatives
+    unconditionally: the implicit default, which profiles never store."""
+    return not ballot.scope and len(ballot.statements.get((), ())) == domain_size
+
+
 def make_profile(issues, voters) -> Profile:
     """Assemble a Profile from (name, alternatives) and (name, ballots) pairs.
 
@@ -186,10 +193,8 @@ def make_profile(issues, voters) -> Profile:
     for name, ballots in voters:
         kept = {}
         for b in ballots:
-            if not b.scope and 0 <= b.issue < len(dom):
-                approved = b.statements.get((), frozenset())
-                if len(approved) == dom[b.issue]:
-                    continue
+            if 0 <= b.issue < len(dom) and approves_all(b, dom[b.issue]):
+                continue
             kept[b.issue] = b
         voter_tuple.append(Voter(name, kept))
     return Profile(issue_tuple, tuple(voter_tuple))

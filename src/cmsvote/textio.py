@@ -19,15 +19,15 @@ lines of one (voter, target) must agree on the premise issue set, and
 declares a conditional ballot's premise issues without any statement: such a
 ballot is never satisfied (the serializer only emits it for statement-free
 conditional ballots).  Duplicate premises are merged with a warning.
-Counts are ASCII digits.
+Counts are ASCII digits without a leading zero, as the serializer writes
+them.
 
 ``parse_profile`` reads a document in one pass over the rows that ``_rows``
 yields line by line, so no list of rows is held.  Within one document each
-premise text is parsed once and its (scope, premise) tuples are shared by
-every ballot that uses it, and each issue's approval tokens map to one shared
-frozenset.  Only these immutable values are shared: every ballot gets its own
-statement dict.  Unconditional ballots that approve every alternative are
-dropped while parsing, as ``make_profile`` drops them.
+issue's approval tokens map to one shared frozenset.  Only these immutable
+sets are shared: every ballot gets its own statement dict.  Unconditional
+ballots that approve every alternative (``model.approves_all``) are dropped
+while parsing, as ``make_profile`` drops them.
 
 Solution documents::
 
@@ -36,7 +36,7 @@ Solution documents::
     assign <issue> <alt>         # one line per issue
     voter <name> dissat <int>    # optional breakdown
 
-Integers there are an optional ``-`` followed by ASCII digits.
+Integers there are a count or ``-`` followed by a nonzero count.
 
 DIMACS CNF (``p cnf`` header, 0-terminated clauses), colored graphs
 (``class <color> <vertex>+`` and ``edge <u> <v>`` lines) and binary CSPs
@@ -51,7 +51,7 @@ import warnings
 
 from .errors import ParseError
 from .generators import CnfFormula, ColoredGraph, CspInstance
-from .model import Issue, IssueBallot, Profile, Solution, Voter
+from .model import Issue, IssueBallot, Profile, Solution, Voter, approves_all
 
 
 class FormatWarning(UserWarning):
@@ -81,31 +81,17 @@ def _take(rows, ln, what):
 
 
 def _is_count(token):
-    """Whether the token is ASCII digits only."""
-    return token.isascii() and token.isdigit()
+    """Whether the token is a count as the serializer writes it: ASCII digits
+    without a leading zero."""
+    return token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")
 
 
 def _signed_int(token):
-    """The value of an optional '-' followed by ASCII digits, else None."""
-    digits = token[1:] if token.startswith("-") else token
-    return int(token) if _is_count(digits) else None
-
-
-class _Cursor:
-    def __init__(self, text):
-        self.rows = list(_rows(text))
-        self.pos = 0
-
-    def peek(self):
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
-
-    def take(self, what):
-        if self.pos >= len(self.rows):
-            last = self.rows[-1][0] if self.rows else 1
-            raise ParseError(last, f"unexpected end of document, expected {what}")
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
+    """The value of a count or of '-' and a nonzero count, else None."""
+    if token.startswith("-"):
+        digits = token[1:]
+        return -int(digits) if _is_count(digits) and digits != "0" else None
+    return int(token) if _is_count(token) else None
 
 
 def parse_profile(text: str) -> Profile:
@@ -115,9 +101,9 @@ def parse_profile(text: str) -> Profile:
     canonical while the lines are read (sorted scope, aligned premises,
     merged duplicates), so each equals what ``issue_ballot`` would build from
     the same statements, and approve-all unconditional ballots are dropped
-    as ``make_profile`` drops them.  Each premise text is parsed once per
-    document and each issue's approval tokens are read into one shared
-    frozenset; every ballot gets its own statement dict.
+    as ``make_profile`` drops them.  Each issue's approval tokens are read
+    into one frozenset shared within the document; every ballot gets its own
+    statement dict.
     """
     rows = _rows(text)
     ln, tokens = _take(rows, 1, "'cmsprofile 1' header")
@@ -157,28 +143,7 @@ def parse_profile(text: str) -> Profile:
     if n < 1:
         raise ParseError(ln, "profiles need at least one voter")
 
-    premises = {}  # premise text -> (scope, premise)
     approvals = [{} for _ in range(m)]  # per issue: alternative tokens -> frozenset
-
-    def parse_premise(ln, premise_text):
-        pairs = []
-        for part in premise_text.split(","):
-            issue_name, eq, alt_name = part.partition("=")
-            if not eq or "=" in alt_name:
-                raise ParseError(ln, f"malformed premise entry {part!r}")
-            k = issue_index.get(issue_name)
-            if k is None:
-                raise ParseError(ln, f"unknown issue {issue_name!r}")
-            v = alt_index[k].get(alt_name)
-            if v is None:
-                raise unknown_alternative(ln, k, (alt_name,))
-            pairs.append((k, v))
-        pairs.sort()
-        scope, premise = parsed = tuple(zip(*pairs))
-        if len(set(scope)) != len(scope):
-            raise ParseError(ln, "premise repeats an issue")
-        premises[premise_text] = parsed
-        return parsed
 
     def approval(ln, j, alt_tokens):
         table = alt_index[j]
@@ -195,8 +160,9 @@ def parse_profile(text: str) -> Profile:
         return ParseError(ln, f"unknown alternative {name!r} for issue {issues[j].name!r}")
 
     def conditional_draft(drafts, ln, target, j, scope):
-        """The target's ballot for a cond or depends line over ``scope``, a
-        sorted tuple without repeats."""
+        """The target's ballot for a cond or depends line over ``scope``."""
+        if len(set(scope)) != len(scope):
+            raise ParseError(ln, "premise repeats an issue")
         if j in scope:
             raise ParseError(ln, f"self-premise: {target!r} conditions on itself")
         draft = drafts.get(j)
@@ -242,10 +208,20 @@ def parse_profile(text: str) -> Profile:
                 alt_tokens = tuple(tokens[then_at + 1 :])
                 if not premise_text or not alt_tokens:
                     raise ParseError(ln, "conditional lines need a premise and alternatives")
-                parsed = premises.get(premise_text)
-                if parsed is None:
-                    parsed = parse_premise(ln, premise_text)
-                scope, premise = parsed
+                pairs = []
+                for part in premise_text.split(","):
+                    issue_name, eq, alt_name = part.partition("=")
+                    if not eq or "=" in alt_name:
+                        raise ParseError(ln, f"malformed premise entry {part!r}")
+                    k = issue_index.get(issue_name)
+                    if k is None:
+                        raise ParseError(ln, f"unknown issue {issue_name!r}")
+                    v = alt_index[k].get(alt_name)
+                    if v is None:
+                        raise unknown_alternative(ln, k, (alt_name,))
+                    pairs.append((k, v))
+                pairs.sort()
+                scope, premise = zip(*pairs)
                 # A draft over this scope passed conditional_draft's checks.
                 draft = drafts.get(j)
                 if draft is None or draft.scope != scope:
@@ -302,8 +278,6 @@ def parse_profile(text: str) -> Profile:
                     if k is None:
                         raise ParseError(ln, f"unknown issue {name!r}")
                     members.append(k)
-                if len(set(members)) != len(members):
-                    raise ParseError(ln, "premise repeats an issue")
                 conditional_draft(drafts, ln, target, j, tuple(sorted(members)))
             else:
                 raise ParseError(ln, f"unknown directive {kind!r}")
@@ -313,7 +287,7 @@ def parse_profile(text: str) -> Profile:
         ballots = {
             j: ballot
             for j, ballot in drafts.items()
-            if ballot.scope or len(ballot.statements[()]) != len(alt_index[j])
+            if not approves_all(ballot, len(alt_index[j]))
         }
         voters.append(Voter(voter_name, ballots))
 
@@ -345,10 +319,10 @@ def serialize_profile(profile: Profile) -> str:
         for j in sorted(voter.ballots):
             ballot = voter.ballots[j]
             issue = profile.issues[j]
+            if approves_all(ballot, len(issue.alternatives)):
+                continue
             if not ballot.scope:
                 approved = sorted(ballot.statements[()])
-                if len(approved) == len(issue.alternatives):
-                    continue
                 alts = " ".join(issue.alternatives[a] for a in approved)
                 out.append(f"approve {issue.name} {alts}")
                 continue
@@ -384,11 +358,11 @@ def parse_solution(text: str, profile: Profile):
     their declared dissatisfaction (empty when the document has no voter
     lines).  Consistency with the profile is the caller's job.
     """
-    cur = _Cursor(text)
-    ln, tokens = cur.take("'cmssolution 1' header")
+    rows = _rows(text)
+    ln, tokens = _take(rows, 1, "'cmssolution 1' header")
     if tokens != ["cmssolution", "1"]:
         raise ParseError(ln, "expected header 'cmssolution 1'")
-    ln, tokens = cur.take("'cost <int>'")
+    ln, tokens = _take(rows, ln, "'cost <int>'")
     if len(tokens) != 2 or tokens[0] != "cost":
         raise ParseError(ln, "expected 'cost <int>'")
     cost = _signed_int(tokens[1])
@@ -399,8 +373,7 @@ def parse_solution(text: str, profile: Profile):
     voter_names = {voter.name for voter in profile.voters}
     assignment = {}
     per_voter = {}
-    while cur.peek() is not None:
-        ln, tokens = cur.take("an 'assign' or 'voter' line")
+    for ln, tokens in rows:
         if tokens[0] == "assign":
             if len(tokens) != 3:
                 raise ParseError(ln, "expected 'assign <issue> <alt>'")
@@ -426,10 +399,8 @@ def parse_solution(text: str, profile: Profile):
             raise ParseError(ln, f"unknown directive {tokens[0]!r}")
     missing = [profile.issues[j].name for j in range(profile.m) if j not in assignment]
     if missing:
-        raise ParseError(
-            cur.rows[-1][0] if cur.rows else 1,
-            f"assignment missing issues: {', '.join(missing)}",
-        )
+        # ln is the last row read.
+        raise ParseError(ln, f"assignment missing issues: {', '.join(missing)}")
     outcome = tuple(assignment[j] for j in range(profile.m))
     return cost, outcome, per_voter
 

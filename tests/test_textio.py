@@ -22,7 +22,7 @@ from cmsvote import (
     solve_brute,
     total_dissatisfaction,
 )
-from cmsvote.model import issue_ballot, make_profile
+from cmsvote.model import approve, issue_ballot, make_profile
 from cmsvote.textio import FormatWarning
 
 from helpers import P1_DOC, build_p1
@@ -80,6 +80,22 @@ class TestProfileParsing:
         profile = parse_profile(doc)
         # v2 now approves anything for B: outcome B=1 no longer bothers them
         assert total_dissatisfaction(profile, (0, 1)) == 2
+
+    def test_explicit_approve_all_matches_make_profile(self):
+        # The parser drops an approve-all line by the rule make_profile uses.
+        p1 = build_p1()
+        v1, v2 = p1.voters
+        built = make_profile(
+            [(issue.name, issue.alternatives) for issue in p1.issues],
+            [
+                (v1.name, list(v1.ballots.values())),
+                (v2.name, [approve(0, [0]), approve(1, [0, 1])]),
+            ],
+        )
+        parsed = parse_profile(P1_DOC.replace("approve B 0\n", "approve B 1 0\n"))
+        assert parsed == built
+        assert list(parsed.voters[1].ballots) == [0]
+        assert parse_profile(serialize_profile(built)) == built
 
     def test_self_premise_rejected(self):
         doc = P1_DOC.replace("cond B if A=0 then 0", "cond B if B=1 then 0")
@@ -143,8 +159,9 @@ end
     def test_non_decimal_digit_counts(self):
         # Counts are ASCII digits only.  "²".isdigit() holds but int("²")
         # fails, and int() reads the Arabic-Indic "٢", the fullwidth "２",
-        # "+2" and "2_0", which the serializer would write back as other bytes.
-        for count in ("²", "٢", "２", "+2", "2_0"):
+        # "+2", "2_0" and "02", which the serializer would write back as
+        # other bytes.
+        for count in ("²", "٢", "２", "+2", "2_0", "02"):
             with pytest.raises(ParseError) as err:
                 parse_profile(P1_DOC.replace("issues 2", f"issues {count}"))
             assert err.value.line == 2
@@ -345,15 +362,26 @@ class TestSolutionDocuments:
 
     def test_missing_assignment(self):
         p1 = build_p1()
-        text = "cmssolution 1\ncost 1\nassign A 0\n"
+        text = "cmssolution 1\ncost 1\nassign A 0\n\n# trailing comment\n"
         with pytest.raises(ParseError) as err:
             parse_solution(text, p1)
         assert "missing issues" in str(err.value)
+        assert err.value.line == 3
 
-    @pytest.mark.parametrize("token", ["1_0", "+1", "٣", "１", "1.0", "-", "--1"])
+    def test_end_of_document_names_the_last_line(self):
+        p1 = build_p1()
+        for text, line in (("", 1), ("\ncmssolution 1\n\n", 2), ("cmssolution 1\ncost 1\n", 2)):
+            with pytest.raises(ParseError) as err:
+                parse_solution(text, p1)
+            assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "token", ["1_0", "+1", "٣", "１", "1.0", "-", "--1", "01", "-01", "-0", "00"]
+    )
     def test_non_canonical_integers_rejected(self, token):
         # int() reads "1_0" as 10, "+1" as 1 and "٣" as 3, so verify would
-        # confirm a cost the document does not spell.
+        # confirm a cost the document does not spell; "01" and "-0" are not
+        # the bytes the serializer writes for their values.
         p1 = build_p1()
         cost_doc = f"cmssolution 1\ncost {token}\nassign A 0\nassign B 0\n"
         with pytest.raises(ParseError) as err:
@@ -368,6 +396,8 @@ class TestSolutionDocuments:
         # A negative claim parses, so verify reports it as a mismatch.
         text = "cmssolution 1\ncost -3\nassign A 0\nassign B 0\nvoter v1 dissat -1\n"
         assert parse_solution(text, build_p1()) == (-3, (0, 0), {"v1": -1})
+        text = "cmssolution 1\ncost -10\nassign A 0\nassign B 0\nvoter v1 dissat 0\n"
+        assert parse_solution(text, build_p1()) == (-10, (0, 0), {"v1": 0})
 
     def test_duplicate_and_unknown(self):
         p1 = build_p1()
