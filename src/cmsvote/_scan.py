@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .model import Profile
+from .model import Profile, approves_all
 
 # Bounds the work of one elimination: the sum over its buckets of the product
 # of their scopes' domain sizes.  Each bucket table is freed once its minimum
@@ -84,10 +84,8 @@ def compile_cost_model(profile: Profile, budget: int) -> CostModel:
     n_pairs = 0
     for voter in profile.voters:
         for j, ballot in voter.ballots.items():
-            if not ballot.scope:
-                approved = ballot.statements.get((), frozenset())
-                if len(approved) == dom[j]:
-                    continue  # approve-all cannot be dissatisfied
+            if approves_all(ballot, dom[j]):
+                continue  # approve-all cannot be dissatisfied
             axes = tuple(sorted({j, *ballot.scope}))
             groups.setdefault(axes, []).append((j, ballot))
             n_pairs += 1

@@ -153,7 +153,7 @@ class ComponentReport:
     """One connected component of the global dependency graph and its route.
 
     ``edges`` (the component's global-graph edges) and ``width_threshold``
-    are the inputs of the width probe behind ``heuristic_width``.
+    are the inputs of the capped min-fill run behind ``decomposition``.
     """
 
     issues: tuple
@@ -166,14 +166,19 @@ class ComponentReport:
     width_threshold: int
 
     @cached_property
-    def heuristic_width(self) -> Optional[int]:
-        """Min-fill width, or None when it exceeds ``width_threshold``.
-
-        Only TREEWIDTH routing reads it, so ``classify`` fills it in for the
-        components whose route depends on it and leaves the rest to their
-        first read.
+    def decomposition(self) -> Optional[TreeDecomposition]:
+        """Min-fill decomposition over sub-profile ids (issue ``issues[t]`` is
+        vertex ``t``), or None when its width exceeds ``width_threshold``.
+        ``classify`` fills it in where routing reads it, else first read does.
         """
-        return _component_width(self.issues, self.edges, self.width_threshold)
+        return _component_decomposition(self.issues, self.edges, self.width_threshold)
+
+    @cached_property
+    def heuristic_width(self) -> Optional[int]:
+        """Width of ``decomposition``; an isolated issue has width 0."""
+        if not self.edges:
+            return 0
+        return None if self.decomposition is None else self.decomposition.width
 
 
 @dataclass(frozen=True)
@@ -539,16 +544,22 @@ def _min_fill_run(graph: UndirectedGraph, width_cap=None):
     return bags, order, position
 
 
-def heuristic_tree_decomposition(graph: UndirectedGraph) -> TreeDecomposition:
+def heuristic_tree_decomposition(graph: UndirectedGraph, width_cap=None) -> Optional[TreeDecomposition]:
     """Tree decomposition from a min-fill elimination ordering.
 
     Ties are broken by minimum degree, then lowest vertex id.  The resulting
     width is an upper bound on the treewidth; the tree-decomposition solver
-    is correct for any valid decomposition, only its speed varies.
+    is correct for any valid decomposition, only its speed varies.  With
+    ``width_cap`` the run stops, returning None, as soon as a bag would hold
+    more than width_cap + 1 vertices, so it stays fast on graphs whose width
+    is far past the cap; a run that finishes is the uncapped one.
     """
     if graph.n == 0:
         return TreeDecomposition((frozenset(),), ())
-    bags, order, position = _min_fill_run(graph)
+    result = _min_fill_run(graph, width_cap)
+    if result is None:
+        return None
+    bags, order, position = result
 
     edges = []
     for idx, v in enumerate(order[:-1]):
@@ -562,24 +573,12 @@ def heuristic_tree_decomposition(graph: UndirectedGraph) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def min_fill_width(graph: UndirectedGraph, width_cap: int):
-    """Width of the min-fill decomposition if at most ``width_cap``, else None.
-
-    The capped run aborts as soon as the vertex it is about to eliminate has
-    too large a bag, so this stays fast on graphs whose width is way past the
-    cap; a non-None answer equals heuristic_tree_decomposition(graph).width.
-    """
-    if graph.n == 0:
-        return 0
-    result = _min_fill_run(graph, width_cap=width_cap)
-    if result is None:
-        return None
-    bags, _, _ = result
-    return max(len(bag) for bag in bags) - 1
-
-
 def verify_decomposition(graph: UndirectedGraph, decomposition: TreeDecomposition) -> Optional[str]:
-    """None when the three decomposition conditions hold, else what failed."""
+    """None when the three decomposition conditions hold, else what failed.
+
+    Bags are indexed by vertex: O(sum of bag sizes), plus per graph edge the
+    number of bags holding the rarer of its ends.
+    """
     bags = decomposition.bags
     if not bags:
         return "no bags"
@@ -592,39 +591,36 @@ def verify_decomposition(graph: UndirectedGraph, decomposition: TreeDecompositio
             return "not a tree"
         tree_adj[a].append(b)
         tree_adj[b].append(a)
-    seen = [False] * k
+    seen = {0}
     stack = [0]
-    seen[0] = True
-    reached = 1
     while stack:
-        a = stack.pop()
-        for b in tree_adj[a]:
-            if not seen[b]:
-                seen[b] = True
-                reached += 1
+        for b in tree_adj[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
                 stack.append(b)
-    if reached != k:
+    if len(seen) != k:
         return "not a tree"
 
-    covered = set().union(*bags) if bags else set()
-    if covered != set(range(graph.n)):
+    # The bags holding a vertex span a subtree exactly when the tree edges
+    # between two of them are one fewer than they are.
+    bags = [frozenset(bag) for bag in bags]
+    holding = {}
+    for i, bag in enumerate(bags):
+        for v in bag:
+            holding.setdefault(v, set()).add(i)
+    if holding.keys() != set(range(graph.n)):
         return "vertex uncovered"
     for u, v in graph.edges:
-        if not any(u in bag and v in bag for bag in bags):
+        if holding[u].isdisjoint(holding[v]):
             return "edge uncovered"
-    for v in range(graph.n):
-        holding = [i for i, bag in enumerate(bags) if v in bag]
-        seen_v = {holding[0]}
-        stack = [holding[0]]
-        holding_set = set(holding)
-        while stack:
-            a = stack.pop()
-            for b in tree_adj[a]:
-                if b in holding_set and b not in seen_v:
-                    seen_v.add(b)
-                    stack.append(b)
-        if len(seen_v) != len(holding):
-            return "connectivity violated"
+    shared = dict.fromkeys(holding, 0)
+    for a, b in decomposition.edges:
+        small, large = sorted((bags[a], bags[b]), key=len)
+        for v in small:
+            if v in large:
+                shared[v] += 1
+    if any(shared[v] != len(held) - 1 for v, held in holding.items()):
+        return "connectivity violated"
     return None
 
 
@@ -702,11 +698,13 @@ def classify(
     go to the tree decomposition solver; small outcome spaces go to brute
     force; everything else is flagged intractable.
 
-    Widths come from a width-capped min-fill probe, so classification stays
+    Widths come from a width-capped min-fill run, so classification stays
     fast on components whose width is far beyond the threshold; a None width
     means "exceeds width_threshold".  Only components whose route depends on
-    the width (more than one issue, not MINCUT, delta <= 1) are probed here.
-    The widths of MAJORITY and MINCUT components, those of components with
+    the width (more than one issue, not MINCUT, delta <= 1) are probed here,
+    and each keeps its decomposition in ``ComponentReport.decomposition``,
+    the one the TREEWIDTH solver eliminates along.  The decompositions and
+    widths of MAJORITY and MINCUT components, those of components with
     larger premise scopes, and the report's per-voter vertex covers are left
     to their first read, so routing never pays for them.
     """
@@ -745,12 +743,14 @@ def classify(
         sub_edges = frozenset(e for j in issues for e in edges_by_issue[j])
         space = component_outcome_space(profile, issues)
         probed = len(issues) > 1 and not (binary and gd) and delta <= 1
-        width = _component_width(issues, sub_edges, width_threshold) if probed else None
+        decomposition = (
+            _component_decomposition(issues, sub_edges, width_threshold) if probed else None
+        )
         if len(issues) == 1:
             route = MAJORITY
         elif binary and gd:
             route = MINCUT
-        elif probed and width is not None:
+        elif decomposition is not None:
             route = TREEWIDTH
         elif space <= brute_budget:
             route = BRUTE
@@ -760,7 +760,7 @@ def classify(
             issues_t, route, binary, gd, delta, space, sub_edges, width_threshold
         )
         if probed:
-            vars(comp)["heuristic_width"] = width  # the cached_property's slot
+            vars(comp)["decomposition"] = decomposition  # the cached_property's slot
         comps.append(comp)
 
     return AnalysisReport(
@@ -774,12 +774,9 @@ def classify(
     )
 
 
-def _component_width(issues, edges, width_cap: int):
-    if not edges:
-        # An isolated issue: min-fill makes one single-vertex bag.
-        return 0 if width_cap >= 0 else None
+def _component_decomposition(issues, edges, width_cap: int):
     index = {j: t for t, j in enumerate(issues)}
     sub = UndirectedGraph(
         len(issues), frozenset((index[u], index[v]) for u, v in edges)
     )
-    return min_fill_width(sub, width_cap)
+    return heuristic_tree_decomposition(sub, width_cap)

@@ -4,6 +4,8 @@ The objective is additive over the connected components of the global
 dependency graph, so each component is solved independently (isolated issues
 by counting approvals, the rest by whichever solver the classification
 recommends or the caller forces) and the partial outcomes are concatenated.
+TREEWIDTH components are solved along the min-fill decomposition that
+``classify`` kept for them (``ComponentReport.decomposition``).
 The merged outcome's cost is recomputed from scratch and checked against the
 per-component sum; any disagreement aborts.
 
@@ -115,12 +117,12 @@ def majority_alternative(profile: Profile, issue: int) -> int:
     return max(range(d), key=lambda a: (counts[a], -a))
 
 
-def _solve(route: str, sub: Profile, budget: int) -> Solution:
+def _solve(route: str, comp, sub: Profile, budget: int) -> Solution:
     if route == BRUTE:
         return solve_brute(sub, budget)
     if route == MINCUT:
         return solve_mincut(sub)
-    return solve_treewidth(sub)
+    return solve_treewidth(sub, comp.decomposition)
 
 
 def _applicable_routes(comp, budget) -> list:
@@ -172,7 +174,7 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
             )
         else:
             sub = restrict_profile(profile, comp.issues)
-            solution = _solve(route, sub, config.brute_budget)
+            solution = _solve(route, comp, sub, config.brute_budget)
             if sub is profile and not config.cross_validate:
                 # The one component is the whole profile, and the solver has
                 # verified its outcome over every voter already.
@@ -186,7 +188,7 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
                     continue
                 if sub is None:
                     sub = restrict_profile(profile, comp.issues)
-                checked.append(_solve(other, sub, config.brute_budget).cost)
+                checked.append(_solve(other, comp, sub, config.brute_budget).cost)
             if len(set(checked)) > 1:
                 raise InternalMismatch(
                     f"solvers disagree on component {comp.issues}: {checked}"

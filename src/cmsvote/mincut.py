@@ -22,7 +22,7 @@ from typing import Optional
 from . import _flow
 from .analysis import _ONE, _ZERO, _ballot_dichotomy_witness, dichotomy_terms
 from .errors import InternalMismatch, NotGroupDichotomous
-from .model import Profile, Solution, make_solution
+from .model import Profile, Solution, approves_all, make_solution
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,9 @@ def compile_constraints(profile: Profile):
             scope = ballot.scope
             statements = ballot.statements
             if not scope:
-                approved = statements[()]
-                if len(approved) == 2:
+                if approves_all(ballot, 2):
                     continue  # satisfied either way, no constraint
+                approved = statements[()]
                 if not approved:
                     base_cost += 1  # satisfied by neither alternative
                     continue

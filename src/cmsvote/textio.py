@@ -423,10 +423,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = body.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(ln, "expected 'p cnf <vars> <clauses>'")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
+            if not (_is_count(parts[2]) and _is_count(parts[3])):
                 raise ParseError(ln, "problem line counts must be integers")
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
             if num_vars < 1:
                 raise ParseError(ln, "formulas need at least one variable")
             header_line = ln
@@ -434,9 +433,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if num_vars is None:
             raise ParseError(ln, "clause data before the problem line")
         for token in body.split():
-            try:
-                lit = int(token)
-            except ValueError:
+            lit = _signed_int(token)
+            if lit is None:
                 raise ParseError(ln, f"literal {token!r} is not an integer")
             if lit == 0:
                 if not current:

@@ -10,14 +10,15 @@ tables stay as small as the decomposition's width allows; among minimizers,
 each issue takes the lowest alternative that minimizes its bucket given the
 issues eliminated after it.  The graph's edges are the factors' axis pairs,
 so the bucket tables' entries are predicted and checked against
-``MAX_TABLE_ENTRIES`` before the factor tables are compiled.
+``MAX_TABLE_ENTRIES`` before the factor tables are compiled.  ``dispatch``
+passes the decomposition ``classify`` kept for the component.
 """
 
 from __future__ import annotations
 
 from ._scan import MAX_TABLE_ENTRIES, check_entries, compile_cost_model, eliminate
 from .analysis import (
-    NiceTreeDecomposition,
+    TreeDecomposition,
     build_global_graph,
     heuristic_tree_decomposition,
     make_nice,
@@ -28,16 +29,16 @@ from .errors import DeltaTooLarge, InternalMismatch, InvalidDecomposition
 from .model import Profile, Solution, make_solution
 
 
-def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Solution:
-    """Optimal outcome by bucket elimination in a nice tree decomposition's
-    forget order.
+def solve_treewidth(profile: Profile, decomposition: TreeDecomposition = None) -> Solution:
+    """Optimal outcome by bucket elimination in the forget order of
+    ``make_nice(decomposition)``.
 
-    When ``nice`` is omitted, a min-fill heuristic decomposition of the global
-    dependency graph is built and normalized.  Any valid decomposition gives
+    When ``decomposition`` is omitted, a min-fill heuristic decomposition of
+    the global dependency graph is built.  Any valid decomposition gives
     the same cost; only the table sizes differ.  Time is
     O(m * d^(width+1) * (width+1)).  Raises DeltaTooLarge when a ballot
-    conditions on more than one issue, InvalidDecomposition when ``nice``
-    does not decompose the graph or does not forget every issue exactly once,
+    conditions on more than one issue, InvalidDecomposition when a given
+    ``decomposition`` does not decompose the graph,
     and BudgetExceeded, before compiling any factor table, when the bucket
     tables would hold more than ``MAX_TABLE_ENTRIES`` entries in total.
     """
@@ -48,15 +49,15 @@ def solve_treewidth(profile: Profile, nice: NiceTreeDecomposition = None) -> Sol
             "takes at most 1"
         )
     graph = build_global_graph(profile)
-    if nice is None:
-        nice = make_nice(heuristic_tree_decomposition(graph))
+    if decomposition is None:
+        decomposition = heuristic_tree_decomposition(graph)
     else:
-        problem = verify_decomposition(graph, nice.to_decomposition())
+        problem = verify_decomposition(graph, decomposition)
         if problem is not None:
             raise InvalidDecomposition(problem)
+    # A valid decomposition's nice form forgets every issue exactly once.
+    nice = make_nice(decomposition)
     order = [node.vertex for node in nice.postorder() if node.kind == "forget"]
-    if sorted(order) != list(range(profile.m)):
-        raise InvalidDecomposition("every issue must be forgotten exactly once")
 
     check_entries(graph.edges, profile.domain_sizes(), order)
     optimum, outcome = eliminate(compile_cost_model(profile, MAX_TABLE_ENTRIES), order)

@@ -341,6 +341,77 @@ def coarsen_decomposition(
     return TreeDecomposition(new_bags, new_edges)
 
 
+def naive_verify_decomposition(graph: UndirectedGraph, decomposition: TreeDecomposition):
+    """``verify_decomposition``'s verdict, scanning every bag per vertex and
+    per edge instead of indexing the bags by vertex."""
+    bags = decomposition.bags
+    if not bags:
+        return "no bags"
+    k = len(bags)
+    if len(decomposition.edges) != k - 1:
+        return "not a tree"
+    tree_adj = [[] for _ in range(k)]
+    for a, b in decomposition.edges:
+        if not (0 <= a < k and 0 <= b < k):
+            return "not a tree"
+        tree_adj[a].append(b)
+        tree_adj[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for b in tree_adj[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    if len(seen) != k:
+        return "not a tree"
+    if set().union(*bags) != set(range(graph.n)):
+        return "vertex uncovered"
+    for u, v in graph.edges:
+        if not any(u in bag and v in bag for bag in bags):
+            return "edge uncovered"
+    for v in range(graph.n):
+        holding = {i for i, bag in enumerate(bags) if v in bag}
+        start = min(holding)
+        reached = {start}
+        stack = [start]
+        while stack:
+            for b in tree_adj[stack.pop()]:
+                if b in holding and b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        if reached != holding:
+            return "connectivity violated"
+    return None
+
+
+def corrupt_decomposition(rng: random.Random, decomposition: TreeDecomposition, n: int):
+    """A random edit of one bag or tree edge, which may or may not leave the
+    decomposition valid; one without bags is returned as is."""
+    if not decomposition.bags:
+        return decomposition
+    bags = [set(bag) for bag in decomposition.bags]
+    edges = list(decomposition.edges)
+    kind = rng.randrange(7)
+    i = rng.randrange(len(bags))
+    if kind == 0 and bags[i]:
+        bags[i].discard(rng.choice(sorted(bags[i])))  # drop a vertex
+    elif kind == 1:
+        bags[i].add(rng.randrange(n))  # add a vertex, perhaps far from its bags
+    elif kind == 2:
+        bags[i].add(n + rng.randrange(2))  # a vertex the graph does not have
+    elif kind == 3 and edges:
+        edges.pop(rng.randrange(len(edges)))  # too few tree edges
+    elif kind == 4:
+        edges.append((i, rng.randrange(len(bags) + 1)))  # a cycle or a bad index
+    elif kind == 5 and edges:
+        t = rng.randrange(len(edges))
+        edges[t] = (edges[t][0], rng.randrange(len(bags)))  # re-hang one edge
+    elif kind == 6:
+        bags, edges = [], []
+    return TreeDecomposition(tuple(frozenset(bag) for bag in bags), tuple(edges))
+
+
 def random_constraints(rng: random.Random, n_vars: int, count: int):
     """Random two-monotone constraint sets for gadget soundness checks."""
     out = []

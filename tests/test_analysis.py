@@ -30,13 +30,14 @@ from cmsvote.analysis import (
     VC_REPORT_CAP,
     TreeDecomposition,
     UndirectedGraph,
-    min_fill_width,
 )
 from cmsvote.model import approve, issue_ballot, make_profile
 
 from helpers import (
     build_p1,
+    corrupt_decomposition,
     exhaustive_vertex_cover,
+    naive_verify_decomposition,
     naive_vertex_cover_number,
     random_undirected_graph,
 )
@@ -272,6 +273,29 @@ class TestTreeDecomposition:
         td = TreeDecomposition((frozenset({0, 1}), frozenset({0, 1})), ())
         assert verify_decomposition(graph, td) == "not a tree"
 
+    def test_indexed_verify_matches_bag_scan(self):
+        verdicts = {}
+        for seed in range(4000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 10)
+            graph = random_undirected_graph(rng, n, rng.random())
+            td = heuristic_tree_decomposition(graph)
+            if rng.random() < 0.5:
+                td = make_nice(td).to_decomposition()
+            for _ in range(rng.randrange(3)):
+                td = corrupt_decomposition(rng, td, n)
+            verdict = verify_decomposition(graph, td)
+            assert verdict == naive_verify_decomposition(graph, td), seed
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        assert set(verdicts) == {
+            None,
+            "no bags",
+            "not a tree",
+            "vertex uncovered",
+            "edge uncovered",
+            "connectivity violated",
+        }, verdicts
+
 
 class TestMakeNice:
     def check_structure(self, nice):
@@ -464,15 +488,19 @@ class TestClassify:
                     len(issues),
                     frozenset((index[u], index[v]) for u, v in graph.edges if u in index),
                 )
-                eager.append(min_fill_width(sub, threshold))
+                capped = heuristic_tree_decomposition(sub, threshold)
+                eager.append(None if capped is None else capped.width)
 
             report = classify(profile, width_threshold=threshold)
             lazy = [
                 c for c in report.components if c.route in (MAJORITY, MINCUT) or c.delta > 1
             ]
-            assert all("heuristic_width" not in vars(c) for c in lazy), seed
             assert all(
-                "heuristic_width" in vars(c)
+                "decomposition" not in vars(c) and "heuristic_width" not in vars(c)
+                for c in lazy
+            ), seed
+            assert all(
+                "decomposition" in vars(c)
                 for c in report.components
                 if c.route == TREEWIDTH
             ), seed

@@ -165,13 +165,13 @@ class TestDispatch:
 
     def test_routing_probes_no_width_for_majority_and_mincut(self, monkeypatch):
         calls = []
-        original = analysis.min_fill_width
+        original = analysis.heuristic_tree_decomposition
 
-        def counting(graph, width_cap):
+        def counting(graph, width_cap=None):
             calls.append(graph.n)
             return original(graph, width_cap)
 
-        monkeypatch.setattr(analysis, "min_fill_width", counting)
+        monkeypatch.setattr(analysis, "heuristic_tree_decomposition", counting)
         profile = gen_random(
             40, 20, delta_max=2, statement_density=0.02, seed=5, group_dichotomous=True
         )
@@ -182,6 +182,29 @@ class TestDispatch:
         # the counter does see the widths a report prints
         report.to_text()
         assert len(calls) == sum(c.route == "MINCUT" for c in report.components)
+
+    def test_min_fill_runs_once_per_treewidth_component(self, monkeypatch):
+        # classify's capped run is the decomposition the solver eliminates
+        # along; MAJORITY and MINCUT components never run min-fill.
+        calls = []
+        original = analysis._min_fill_run
+
+        def counting(graph, width_cap=None):
+            calls.append(graph)
+            return original(graph, width_cap)
+
+        monkeypatch.setattr(analysis, "_min_fill_run", counting)
+        for seed in (2, 8, 14):
+            profile = gen_random(
+                40, 20, d_max=2, delta_max=1, statement_density=0.04, seed=seed
+            )
+            components = classify(profile).components
+            assert {c.route for c in components} == {"MAJORITY", "MINCUT", "TREEWIDTH"}
+            calls.clear()
+            solve_profile(profile)
+            assert sorted(graph.n for graph in calls) == sorted(
+                len(c.issues) for c in components if c.route == "TREEWIDTH"
+            ), seed
 
     def test_whole_profile_component_is_verified_once(self, monkeypatch):
         profile = gen_random(

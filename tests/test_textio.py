@@ -429,6 +429,27 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n1 2\n")  # unterminated clause
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p cnf 1_0 1\n1 0\n",
+            "p cnf ² 1\n1 0\n",  # a digit int() rejects
+            "p cnf 1 ١\n1 0\n",  # a non-ASCII decimal digit
+            "p cnf 02 1\n1 0\n",
+            "p cnf +2 1\n1 0\n",
+            "p cnf 2 1\n+1 0\n",
+            "p cnf 2 1\n1 -٢ 0\n",
+            "p cnf 2 1\n1_0 0\n",
+            "p cnf 2 1\n01 0\n",
+            "p cnf 2 1\n1 -0\n",  # -0 does not end a clause
+            "p cnf 2 1\n1 00\n",
+        ],
+        ids=lambda text: text.replace("\n", "|"),
+    )
+    def test_non_canonical_integers_rejected(self, text):
+        with pytest.raises(ParseError, match="integer"):
+            parse_dimacs(text)
+
 
 class TestGeneratorInputFormats:
     def test_colored_graph(self):

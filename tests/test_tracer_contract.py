@@ -7,7 +7,7 @@ import importlib
 import importlib.util
 import pathlib
 
-from cmsvote import dispatch, gen_grid, gen_random
+from cmsvote import classify, dispatch, gen_grid, gen_random
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "cmsbench" / "tracing.py"
 
@@ -55,3 +55,15 @@ def test_traced_solves_settle_and_uninstall():
     assert restored == originals
     names = {record[0] for record in tracer.spans}
     assert {"dispatch", "mincut", "treewidth", "treewidth.nice", "brute"} <= names
+    # The solver, not classify, puts each TREEWIDTH component's decomposition
+    # in nice form: the tracer reads the width and table entries there.
+    nice_parents = [
+        tracer.spans[record[3]][0] for record in tracer.spans if record[0] == "treewidth.nice"
+    ]
+    treewidth_components = sum(
+        comp.route == "TREEWIDTH"
+        for profile in profiles
+        for comp in classify(profile).components
+    )
+    assert treewidth_components > 0
+    assert nice_parents == ["treewidth"] * treewidth_components
