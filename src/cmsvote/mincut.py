@@ -4,20 +4,21 @@ Pipeline: profile -> weighted constraints, each a disjunction of one
 all-positive and/or one all-negative conjunction -> s-t min-cut network ->
 outcome read off the cut.  A variable node on the source side of the cut
 means the issue is decided 1.  The whole route runs on plain Python
-containers: one pass over the ballots checks their shape and compiles
-them, the network is per-node arc-id lists, and ``_flow.max_flow`` (a
-shortest-augmenting-path max flow with global relabelling) runs on those
-lists, so a MINCUT solve never imports numpy.  The solution cost
-is always re-verified against the dissatisfaction semantics; disagreement
-aborts the run, since it would signal a bug in the reduction or the flow
-kernel.
+containers: one pass over the ballots checks their shape and compiles them
+to named tuples whose terms are sorted issue tuples, one pass over those
+builds the network as per-node arc-id lists, and ``solve_mincut`` drops the
+constraints before ``_flow.max_flow`` (a shortest-augmenting-path max flow
+with global relabelling) runs on the lists, so a MINCUT solve never imports
+numpy.  The solution cost is always re-verified against the dissatisfaction
+semantics; disagreement aborts the run, since it would signal a bug in the
+reduction or the flow kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _flow
 from .analysis import _ONE, _ZERO, _ballot_dichotomy_witness, dichotomy_terms
@@ -25,25 +26,18 @@ from .errors import InternalMismatch, NotGroupDichotomous
 from .model import Profile, Solution, approves_all, make_solution
 
 
-@dataclass(frozen=True)
-class TwoMonotoneConstraint:
+class TwoMonotoneConstraint(NamedTuple):
     """Weighted constraint (AND of pos) OR (AND of negated neg).
 
-    A term that is None is absent; at least one term is present.  The
-    constraint is violated by an assignment exactly when every present term
-    evaluates false, and each violation costs ``weight``.
+    Each term is a sorted tuple of issues, or None when absent; at least one
+    term is present.  The constraint is violated by an assignment exactly
+    when every present term evaluates false, and each violation costs
+    ``weight``.
     """
 
-    pos: Optional[frozenset]
-    neg: Optional[frozenset]
+    pos: Optional[tuple]
+    neg: Optional[tuple]
     weight: int
-
-    def violated(self, assignment) -> bool:
-        if self.pos is not None and all(assignment[v] == 1 for v in self.pos):
-            return False
-        if self.neg is not None and all(assignment[v] == 0 for v in self.neg):
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,10 @@ def compile_constraints(profile: Profile):
     Returns (constraints, base_cost).  For every assignment, base_cost plus
     the weighted count of violated constraints equals the total
     dissatisfaction of the corresponding outcome.  Identical constraints are
-    merged by summing weights, and the list is sorted.  Each conditional
-    ballot's group-dichotomous shape is checked as it is read; the first
-    ballot that fails raises ``NotGroupDichotomous`` with the witness
+    merged by summing weights, and the list is sorted.  A term equal to a
+    ballot's scope is that scope tuple itself.  Each conditional ballot's
+    group-dichotomous shape is checked as it is read; the first ballot that
+    fails raises ``NotGroupDichotomous`` with the witness
     ``is_group_dichotomous`` gives.  A ballot that no outcome can satisfy
     (an empty approval set, or a conditional ballot with no statements) adds
     one to base_cost.
@@ -87,8 +82,8 @@ def compile_constraints(profile: Profile):
             f"issue {bad} has {dom[bad]} alternatives; the reduction needs binary issues"
         )
 
-    # Keys are (pos, neg) as sorted tuples, so identical constraints merge
-    # and sort without building a frozenset per ballot.
+    # Keys are (pos, neg) as sorted tuples, the constraints' own terms, so
+    # identical constraints merge and sort as they are.
     weights = {}
     base_cost = 0
     for i, voter in enumerate(profile.voters):
@@ -126,11 +121,7 @@ def compile_constraints(profile: Profile):
         return (pos is None, pos or (), neg is None, neg or ())
 
     constraints = [
-        TwoMonotoneConstraint(
-            None if pos is None else frozenset(pos),
-            None if neg is None else frozenset(neg),
-            weight,
-        )
+        TwoMonotoneConstraint(pos, neg, weight)
         for (pos, neg), weight in sorted(weights.items(), key=sort_key)
     ]
     return constraints, base_cost
@@ -147,53 +138,50 @@ def build_network(constraints, n_vars: int) -> FlowNetwork:
     consistent with any variable assignment then pays exactly the weighted
     violations of that assignment.
     """
-    inf = sum(c.weight for c in constraints) + 1
+    inf = sum(w for _, _, w in constraints) + 1
     source, sink = 0, 1
     var_base = 2
+    # One int object per variable node, shared by every arc that ends there.
+    var = list(range(var_base, var_base + n_vars))
     out = [[] for _ in range(var_base + n_vars)]
     to = []
     cap = []
-
-    def arc(u, v, capacity):
-        e = len(to)
-        out[u].append(e)
-        out[v].append(e + 1)
-        to.extend((v, u))
-        cap.extend((capacity, 0))
-
-    def node():
-        out.append([])
-        return len(out) - 1
-
-    for c in constraints:
-        pos = c.pos
-        neg = c.neg
-        if pos is not None and neg is not None:
-            a = node()
-            b = node()
-            arc(a, b, c.weight)
-            for j in neg:
-                arc(var_base + j, a, inf)
-            for i in pos:
-                arc(b, var_base + i, inf)
-        elif neg is not None:
-            if len(neg) == 1:
-                (j,) = neg
-                arc(var_base + j, sink, c.weight)
-            else:
-                a = node()
-                for j in neg:
-                    arc(var_base + j, a, inf)
-                arc(a, sink, c.weight)
+    for pos, neg, w in constraints:
+        if neg is None:
+            a, into = source, ()
+        elif pos is None and len(neg) == 1:
+            a, into = var[neg[0]], ()
         else:
-            if len(pos) == 1:
-                (i,) = pos
-                arc(source, var_base + i, c.weight)
-            else:
-                b = node()
-                arc(source, b, c.weight)
-                for i in pos:
-                    arc(b, var_base + i, inf)
+            a, into = len(out), neg
+            out.append([])
+        if pos is None:
+            b, fan = sink, ()
+        elif neg is None and len(pos) == 1:
+            b, fan = var[pos[0]], ()
+        else:
+            b, fan = len(out), pos
+            out.append([])
+        a_out = out[a]
+        b_out = out[b]
+        e = len(to)
+        a_out.append(e)
+        b_out.append(e + 1)
+        to += (b, a)
+        cap += (w, 0)
+        for j in into:
+            u = var[j]
+            e = len(to)
+            out[u].append(e)
+            a_out.append(e + 1)
+            to += (a, u)
+            cap += (inf, 0)
+        for i in fan:
+            v = var[i]
+            e = len(to)
+            b_out.append(e)
+            out[v].append(e + 1)
+            to += (v, b)
+            cap += (inf, 0)
 
     return FlowNetwork(
         n_nodes=len(out),
@@ -230,6 +218,7 @@ def solve_mincut(profile: Profile) -> Solution:
     """Optimal outcome for a group-dichotomous binary profile via min-cut."""
     constraints, base_cost = compile_constraints(profile)
     network = build_network(constraints, profile.m)
+    del constraints  # freed before the flow runs
     cut_value, source_side = max_flow_min_cut(network)
     outcome = tuple(
         1 if (network.var_base + j) in source_side else 0 for j in range(profile.m)

@@ -394,6 +394,8 @@ def parse_solution(text: str, profile: Profile):
             dissat = _signed_int(tokens[3])
             if dissat is None:
                 raise ParseError(ln, f"dissatisfaction {tokens[3]!r} is not an integer")
+            if tokens[1] in per_voter:
+                raise ParseError(ln, f"voter {tokens[1]!r} listed twice")
             per_voter[tokens[1]] = dissat
         else:
             raise ParseError(ln, f"unknown directive {tokens[0]!r}")

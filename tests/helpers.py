@@ -7,8 +7,10 @@ enumerate assignments of the source problems directly, the vertex cover
 oracle tries every subset, the capped-cover reference
 ``naive_vertex_cover_number`` searches the whole graph without the component
 split or the leaf rule, the component split and majority count scan every
-voter instead of reading the profile's per-issue ballot index, and the
-tree-decomposition reference keeps every full DP table for its traceback.
+voter instead of reading the profile's per-issue ballot index, the
+tree-decomposition reference keeps every full DP table for its traceback,
+and ``violated`` states the two-monotone constraint semantics that the
+min-cut gadget is checked against.
 """
 
 from __future__ import annotations
@@ -419,17 +421,28 @@ def random_constraints(rng: random.Random, n_vars: int, count: int):
         kind = rng.choice(("pos", "neg", "both"))
         pos = neg = None
         if kind in ("pos", "both"):
-            pos = frozenset(rng.sample(range(n_vars), rng.randint(1, min(3, n_vars))))
+            pos = tuple(sorted(rng.sample(range(n_vars), rng.randint(1, min(3, n_vars)))))
         if kind in ("neg", "both"):
-            neg = frozenset(rng.sample(range(n_vars), rng.randint(1, min(3, n_vars))))
+            neg = tuple(sorted(rng.sample(range(n_vars), rng.randint(1, min(3, n_vars)))))
         out.append(TwoMonotoneConstraint(pos, neg, rng.randint(1, 4)))
     return out
+
+
+def violated(constraint, assignment) -> bool:
+    """Reference semantics of a two-monotone constraint: violated exactly
+    when no present term holds under the assignment."""
+    pos, neg, _ = constraint
+    if pos is not None and all(assignment[v] == 1 for v in pos):
+        return False
+    if neg is not None and all(assignment[v] == 0 for v in neg):
+        return False
+    return True
 
 
 def exhaustive_min_violations(constraints, n_vars: int) -> int:
     best = None
     for bits in itertools.product((0, 1), repeat=n_vars):
-        cost = sum(c.weight for c in constraints if c.violated(bits))
+        cost = sum(c.weight for c in constraints if violated(c, bits))
         if best is None or cost < best:
             best = cost
     return best

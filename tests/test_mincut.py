@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,8 @@ from cmsvote import (
     gen_random,
     is_group_dichotomous,
     max_flow_min_cut,
+    parse_profile,
+    serialize_profile,
     solve_brute,
     solve_mincut,
     solve_profile,
@@ -20,23 +24,42 @@ from cmsvote import (
 from cmsvote.mincut import TwoMonotoneConstraint
 from cmsvote.model import approve, issue_ballot, make_profile
 
-from helpers import build_p1, exhaustive_min_violations, random_constraints
+from helpers import (
+    build_p1,
+    exhaustive_min_violations,
+    random_constraints,
+    traced_peak,
+    violated,
+)
 
 
-def constraint_set(constraints):
-    return {(c.pos, c.neg, c.weight) for c in constraints}
+def parsed_sparse_profile():
+    """A parsed m = n = 500 group-dichotomous profile and the bytes it holds."""
+    text = serialize_profile(
+        gen_random(
+            500, 500, delta_max=2, statement_density=0.005, seed=1,
+            group_dichotomous=True,
+        )
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        profile = parse_profile(text)
+        return profile, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCompileConstraints:
     def test_p1(self):
         constraints, base = compile_constraints(build_p1())
         assert base == 0
-        assert constraint_set(constraints) == {
-            (frozenset({0}), None, 1),              # v1 wants A=1
-            (frozenset({0, 1}), frozenset({0, 1}), 1),  # v1 wants B to follow A
-            (None, frozenset({0}), 1),              # v2 wants A=0
-            (None, frozenset({1}), 1),              # v2 wants B=0
-        }
+        assert constraints == [
+            ((0,), None, 1),        # v1 wants A=1
+            ((0, 1), (0, 1), 1),    # v1 wants B to follow A
+            (None, (0,), 1),        # v2 wants A=0
+            (None, (1,), 1),        # v2 wants B=0
+        ]
 
     def test_approve_both_makes_no_constraint(self):
         profile = make_profile(
@@ -45,7 +68,7 @@ class TestCompileConstraints:
         )
         constraints, base = compile_constraints(profile)
         assert base == 0
-        assert constraint_set(constraints) == {(frozenset({1}), None, 1)}
+        assert constraints == [((1,), None, 1)]
 
     def test_empty_statement_map_becomes_base_cost(self):
         profile = make_profile(
@@ -71,10 +94,7 @@ class TestCompileConstraints:
         )
         constraints, base = compile_constraints(profile)
         assert base == 0
-        assert constraint_set(constraints) == {
-            (None, frozenset({0, 1}), 1),
-            (frozenset({0}), None, 1),
-        }
+        assert constraints == [((0,), None, 1), (None, (0, 1), 1)]
 
     def test_merging_sums_weights(self):
         profile = make_profile(
@@ -82,7 +102,7 @@ class TestCompileConstraints:
             [("v", [approve(0, {1})]), ("w", [approve(0, {1})])],
         )
         constraints, _ = compile_constraints(profile)
-        assert constraint_set(constraints) == {(frozenset({0}), None, 2)}
+        assert constraints == [((0,), None, 2)]
 
     def test_rejects_non_group_dichotomous(self):
         profile = make_profile(
@@ -108,23 +128,23 @@ class TestCompileConstraints:
             )
             constraints, base = compile_constraints(profile)
             for bits in itertools.product((0, 1), repeat=profile.m):
-                violated = base + sum(
-                    c.weight for c in constraints if c.violated(bits)
+                cost = base + sum(
+                    c.weight for c in constraints if violated(c, bits)
                 )
-                assert violated == total_dissatisfaction(profile, bits)
+                assert cost == total_dissatisfaction(profile, bits)
 
 
 class TestNetworkGadget:
     def test_single_positive_literal(self):
-        network = build_network([TwoMonotoneConstraint(frozenset({0}), None, 1)], 1)
+        network = build_network([TwoMonotoneConstraint((0,), None, 1)], 1)
         cut, side = max_flow_min_cut(network)
         assert cut == 0
         assert network.var_base + 0 in side  # free to sit on the source side
 
     def test_contradictory_unit_literals(self):
         constraints = [
-            TwoMonotoneConstraint(frozenset({0}), None, 1),
-            TwoMonotoneConstraint(None, frozenset({0}), 1),
+            TwoMonotoneConstraint((0,), None, 1),
+            TwoMonotoneConstraint(None, (0,), 1),
         ]
         cut, _ = max_flow_min_cut(build_network(constraints, 1))
         assert cut == 1
@@ -247,3 +267,25 @@ class TestSolveMincut:
         assert solve_mincut(profile).cost == 1
         solution = solve_profile(profile)
         assert (solution.cost, solution.method) == (1, "mincut")
+
+
+class TestMincutMemory:
+    def test_solve_peaks_below_the_parsed_profile(self):
+        # The constraints are plain tuples and are freed before the flow
+        # runs, so the whole solve needs less than the profile it reads.
+        profile, profile_bytes = parsed_sparse_profile()
+        solution, peak = traced_peak(lambda: solve_mincut(profile))
+        assert solution.cost == total_dissatisfaction(profile, solution.outcome)
+        assert peak <= 1.0 * profile_bytes, (peak, profile_bytes)
+
+    def test_constraints_hold_few_bytes_each(self):
+        profile, _ = parsed_sparse_profile()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            constraints, _ = compile_constraints(profile)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(constraints) > 1000
+        assert retained <= 320 * len(constraints), (retained, len(constraints))

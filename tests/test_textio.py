@@ -22,6 +22,7 @@ from cmsvote import (
     solve_brute,
     total_dissatisfaction,
 )
+from cmsvote.cli import main
 from cmsvote.model import approve, issue_ballot, make_profile
 from cmsvote.textio import FormatWarning
 
@@ -407,6 +408,25 @@ class TestSolutionDocuments:
             parse_solution("cmssolution 1\ncost 0\nassign A 0\nassign Z 1\n", p1)
         with pytest.raises(ParseError):
             parse_solution("cmssolution 1\ncost 0\nassign A 9\nassign B 0\n", p1)
+
+    def test_voter_listed_twice(self, tmp_path, capsys):
+        # A later line must not overwrite an earlier claim for the same
+        # voter: verify would then confirm a document that claims both.
+        grid = gen_grid(2)
+        text = serialize_solution(grid, solve_brute(grid))
+        text = text.replace("voter rows dissat 0\n", "voter rows dissat 99\n") + (
+            "voter rows dissat 0\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_solution(text, grid)
+        assert err.value.line == 9
+        assert "voter 'rows' listed twice" in str(err.value)
+        profile_path = tmp_path / "grid.profile"
+        profile_path.write_text(serialize_profile(grid))
+        solution_path = tmp_path / "grid.solution"
+        solution_path.write_text(text)
+        assert main(["verify", str(profile_path), str(solution_path)]) == 2
+        assert "listed twice" in capsys.readouterr().err
 
 
 class TestDimacs:

@@ -7,7 +7,15 @@ import importlib
 import importlib.util
 import pathlib
 
-from cmsvote import classify, dispatch, gen_grid, gen_random
+from cmsvote import (
+    build_network,
+    classify,
+    compile_constraints,
+    dispatch,
+    gen_grid,
+    gen_random,
+    mincut,
+)
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "cmsbench" / "tracing.py"
 
@@ -67,3 +75,26 @@ def test_traced_solves_settle_and_uninstall():
     )
     assert treewidth_components > 0
     assert nice_parents == ["treewidth"] * treewidth_components
+
+
+def test_traced_mincut_counts_match_the_compiled_network():
+    # The tracer counts constraints and gadget arcs from the compile result
+    # alone, reading each constraint's pos and neg terms.
+    profile = gen_random(
+        30, 25, delta_max=3, statement_density=0.3, seed=2, group_dichotomous=True
+    )
+    constraints, _ = compile_constraints(profile)
+    network = build_network(constraints, profile.m)
+    assert len(network.to) // 2 > len(constraints) > 0
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        mincut.solve_mincut(profile)
+    finally:
+        tracer.uninstall()
+    tracer.settle(0)
+    counts = [record[4] for record in tracer.spans if record[0] == "mincut.compile"]
+    assert counts == [
+        {"mincut.constraints": len(constraints), "mincut.arcs": len(network.to) // 2}
+    ]
