@@ -21,14 +21,9 @@ TREEWIDTH = "TREEWIDTH"
 BRUTE = "BRUTE"
 INTRACTABLE = "INTRACTABLE"
 
-DEFAULT_WIDTH_THRESHOLD = 8
-DEFAULT_BRUTE_BUDGET = 10_000_000
-
-
-def check_bounds(width_threshold: int, brute_budget: int) -> None:
-    """The routing bounds ``classify`` and ``SolveConfig`` accept."""
-    if width_threshold < 0 or brute_budget < 1:
-        raise ValueError("width threshold must be >= 0 and brute budget >= 1")
+# The routing bounds; the routing code below reads them when it runs.
+WIDTH_THRESHOLD = 8  # largest min-fill width routed to TREEWIDTH
+BRUTE_BUDGET = 10_000_000  # largest outcome space routed to BRUTE
 
 
 # Per-voter vertex covers in reports are computed exactly up to this bound;
@@ -152,8 +147,8 @@ class DichotomyWitness:
 class ComponentReport:
     """One connected component of the global dependency graph and its route.
 
-    ``edges`` (the component's global-graph edges) and ``width_threshold``
-    are the inputs of the capped min-fill run behind ``decomposition``.
+    ``edges`` (the component's global-graph edges) is the input of the
+    min-fill run, capped at ``WIDTH_THRESHOLD``, behind ``decomposition``.
     """
 
     issues: tuple
@@ -163,15 +158,14 @@ class ComponentReport:
     delta: int
     outcome_space: int
     edges: frozenset = field(repr=False)
-    width_threshold: int
 
     @cached_property
     def decomposition(self) -> Optional[TreeDecomposition]:
         """Min-fill decomposition over sub-profile ids (issue ``issues[t]`` is
-        vertex ``t``), or None when its width exceeds ``width_threshold``.
+        vertex ``t``), or None when its width exceeds ``WIDTH_THRESHOLD``.
         ``classify`` fills it in where routing reads it, else first read does.
         """
-        return _component_decomposition(self.issues, self.edges, self.width_threshold)
+        return _component_decomposition(self.issues, self.edges)
 
     @cached_property
     def heuristic_width(self) -> Optional[int]:
@@ -294,20 +288,17 @@ def build_global_graph(profile: Profile) -> UndirectedGraph:
     return UndirectedGraph(profile.m, frozenset(edges))
 
 
-def max_in_degree(profile: Profile, issues=None) -> int:
-    """Largest premise scope over all voters (restricted to ``issues`` if given)."""
-    keep = None if issues is None else set(issues)
+def max_in_degree(profile: Profile) -> int:
+    """Largest premise scope over all voters."""
     best = 0
     for voter in profile.voters:
         for ballot in voter.ballots.values():
-            if keep is not None and ballot.issue not in keep:
-                continue
             if len(ballot.scope) > best:
                 best = len(ballot.scope)
     return best
 
 
-def is_group_dichotomous(profile: Profile, issues=None):
+def is_group_dichotomous(profile: Profile):
     """Check every conditional statement against the group-dichotomous shapes.
 
     A conditional statement on a binary issue qualifies when its approval set
@@ -315,14 +306,10 @@ def is_group_dichotomous(profile: Profile, issues=None):
     premise that is all-0 or all-1.  Unconditional ballots are never checked.
     Returns (ok, witness); the witness points at the first offending statement.
     """
-    keep = None if issues is None else set(issues)
     dom = profile.domain_sizes()
     for i, voter in enumerate(profile.voters):
         for ballot in voter.ballots.values():
             if not ballot.scope:
-                continue
-            j = ballot.issue
-            if keep is not None and j not in keep:
                 continue
             witness = _ballot_dichotomy_witness(i, ballot, dom)
             if witness is not None:
@@ -333,6 +320,8 @@ def is_group_dichotomous(profile: Profile, issues=None):
 _ZERO = frozenset((0,))
 _ONE = frozenset((1,))
 _BOTH = frozenset((0, 1))
+_LOW_SHAPES = (_ZERO, _BOTH)  # the approval sets allowed at the all-0 premise
+_HIGH_SHAPES = (_ONE, _BOTH)  # and at the all-1 premise
 
 
 def dichotomy_terms(ballot):
@@ -349,41 +338,38 @@ def dichotomy_terms(ballot):
     high = statements.get((1,) * size)
     if (
         len(statements) != (low is not None) + (high is not None)
-        or (low is not None and low != _ZERO and low != _BOTH)
-        or (high is not None and high != _ONE and high != _BOTH)
+        or (low is not None and low not in _LOW_SHAPES)
+        or (high is not None and high not in _HIGH_SHAPES)
     ):
         return None
     return low, high
 
 
 def _ballot_dichotomy_witness(voter: int, ballot, dom):
+    """The first statement, in premise order, of a conditional ballot that
+    breaks the shape ``dichotomy_terms`` checks, or None when none does."""
     j = ballot.issue
     if dom[j] != 2:
         return DichotomyWitness(
             voter, j, None, f"conditional ballot on non-binary issue ({dom[j]} alternatives)"
         )
-    if dichotomy_terms(ballot) is not None:
+    size = len(ballot.scope)
+    zeros, ones = (0,) * size, (1,) * size
+    premise = None
+    for p, approved in ballot.statements.items():
+        if p == zeros and approved in _LOW_SHAPES or p == ones and approved in _HIGH_SHAPES:
+            continue
+        if premise is None or p < premise:
+            premise = p
+    if premise is None:
         return None
-    for premise in sorted(ballot.statements):
-        approved = ballot.statements[premise]
-        all_zero = all(v == 0 for v in premise)
-        all_one = all(v == 1 for v in premise)
-        if approved == frozenset({0}):
-            ok = all_zero
-        elif approved == frozenset({1}):
-            ok = all_one
-        elif approved == frozenset({0, 1}):
-            ok = all_zero or all_one
-        else:
-            ok = False
-        if not ok:
-            return DichotomyWitness(
-                voter,
-                j,
-                premise,
-                f"statement {premise} -> {sorted(approved)} matches no allowed shape",
-            )
-    return None
+    return DichotomyWitness(
+        voter,
+        j,
+        premise,
+        f"statement {premise} -> {sorted(ballot.statements[premise])} "
+        "matches no allowed shape",
+    )
 
 
 def vertex_cover_number(graph, k_max: int) -> Optional[int]:
@@ -685,22 +671,20 @@ def component_outcome_space(profile: Profile, issues) -> int:
     return math.prod(dom[j] for j in issues)
 
 
-def classify(
-    profile: Profile,
-    width_threshold: int = DEFAULT_WIDTH_THRESHOLD,
-    brute_budget: int = DEFAULT_BRUTE_BUDGET,
-) -> AnalysisReport:
+def classify(profile: Profile) -> AnalysisReport:
     """Recommend a solver route for each connected component of the global graph.
 
     Routing order: isolated issues go to majority counting; all-binary
     group-dichotomous components go to the min-cut solver; components whose
-    ballots condition on at most one issue and whose heuristic width is small
-    go to the tree decomposition solver; small outcome spaces go to brute
-    force; everything else is flagged intractable.
+    ballots condition on at most one issue and whose heuristic width is at
+    most ``WIDTH_THRESHOLD`` go to the tree decomposition solver; outcome
+    spaces of at most ``BRUTE_BUDGET`` go to brute force; everything else is
+    flagged intractable.  ``applicable_routes`` is the same rule without the
+    width bound, for a forced method.
 
     Widths come from a width-capped min-fill run, so classification stays
     fast on components whose width is far beyond the threshold; a None width
-    means "exceeds width_threshold".  Only components whose route depends on
+    means "exceeds WIDTH_THRESHOLD".  Only components whose route depends on
     the width (more than one issue, not MINCUT, delta <= 1) are probed here,
     and each keeps its decomposition in ``ComponentReport.decomposition``,
     the one the TREEWIDTH solver eliminates along.  The decompositions and
@@ -708,7 +692,6 @@ def classify(
     larger premise scopes, and the report's per-voter vertex covers are left
     to their first read, so routing never pays for them.
     """
-    check_bounds(width_threshold, brute_budget)
     graph = build_global_graph(profile)
     dom = profile.domain_sizes()
 
@@ -743,22 +726,18 @@ def classify(
         sub_edges = frozenset(e for j in issues for e in edges_by_issue[j])
         space = component_outcome_space(profile, issues)
         probed = len(issues) > 1 and not (binary and gd) and delta <= 1
-        decomposition = (
-            _component_decomposition(issues, sub_edges, width_threshold) if probed else None
-        )
+        decomposition = _component_decomposition(issues, sub_edges) if probed else None
         if len(issues) == 1:
             route = MAJORITY
         elif binary and gd:
             route = MINCUT
         elif decomposition is not None:
             route = TREEWIDTH
-        elif space <= brute_budget:
+        elif space <= BRUTE_BUDGET:
             route = BRUTE
         else:
             route = INTRACTABLE
-        comp = ComponentReport(
-            issues_t, route, binary, gd, delta, space, sub_edges, width_threshold
-        )
+        comp = ComponentReport(issues_t, route, binary, gd, delta, space, sub_edges)
         if probed:
             vars(comp)["decomposition"] = decomposition  # the cached_property's slot
         comps.append(comp)
@@ -774,9 +753,26 @@ def classify(
     )
 
 
-def _component_decomposition(issues, edges, width_cap: int):
+def applicable_routes(comp: ComponentReport) -> list:
+    """The solvers a forced method or cross-validation may run on a component.
+
+    This is the rule of ``classify`` without its width bound: a TREEWIDTH
+    solve is exact along any decomposition, and one whose capped min-fill
+    run gave up builds an uncapped one.
+    """
+    routes = []
+    if comp.all_binary and comp.group_dichotomous:
+        routes.append(MINCUT)
+    if comp.delta <= 1:
+        routes.append(TREEWIDTH)
+    if comp.outcome_space <= BRUTE_BUDGET:
+        routes.append(BRUTE)
+    return routes
+
+
+def _component_decomposition(issues, edges):
     index = {j: t for t, j in enumerate(issues)}
     sub = UndirectedGraph(
         len(issues), frozenset((index[u], index[v]) for u, v in edges)
     )
-    return heuristic_tree_decomposition(sub, width_cap)
+    return heuristic_tree_decomposition(sub, WIDTH_THRESHOLD)

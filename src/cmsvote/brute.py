@@ -1,4 +1,5 @@
-"""Optimal solver for components whose outcome space fits a budget.
+"""Optimal solver for components whose outcome space fits a budget
+(``analysis.BRUTE_BUDGET`` unless one is given; routing uses that bound).
 
 It runs the bucket-elimination kernel ``_scan.eliminate`` in descending
 issue order, which returns the lexicographically first minimizing outcome.
@@ -9,12 +10,12 @@ The simple oracle the tests check every solver against is
 from __future__ import annotations
 
 from . import _scan
-from .analysis import DEFAULT_BRUTE_BUDGET
+from .analysis import BRUTE_BUDGET
 from .errors import BudgetExceeded, InternalMismatch
 from .model import Profile, Solution, make_solution, outcome_space_size
 
 
-def solve_brute(profile: Profile, budget: int = DEFAULT_BRUTE_BUDGET) -> Solution:
+def solve_brute(profile: Profile, budget: int = BRUTE_BUDGET) -> Solution:
     """Minimize total dissatisfaction over an outcome space of at most
     ``budget`` outcomes.
 

@@ -14,8 +14,8 @@ import argparse
 import sys
 
 from . import generators, textio
-from .analysis import DEFAULT_BRUTE_BUDGET, DEFAULT_WIDTH_THRESHOLD, classify
-from .dispatch import SolveConfig, solve_profile
+from .analysis import classify
+from .dispatch import METHODS, SolveConfig, solve_profile
 from .errors import (
     BudgetExceeded,
     CmsError,
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("profile", help="profile document path")
     solve.add_argument(
         "--method",
-        choices=("auto", "brute", "mincut", "treewidth"),
+        choices=METHODS,
         default="auto",
         help="force one solver instead of routing per component",
     )
@@ -62,10 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 0 iff the optimum is at most S, else 1",
     )
     solve.add_argument(
-        "--width-threshold", type=int, default=DEFAULT_WIDTH_THRESHOLD
-    )
-    solve.add_argument("--brute-budget", type=int, default=DEFAULT_BRUTE_BUDGET)
-    solve.add_argument(
         "--cross-validate",
         action="store_true",
         help="run every applicable solver per component and require equal costs",
@@ -74,10 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="report structure and solver routing")
     analyze.add_argument("profile")
-    analyze.add_argument(
-        "--width-threshold", type=int, default=DEFAULT_WIDTH_THRESHOLD
-    )
-    analyze.add_argument("--brute-budget", type=int, default=DEFAULT_BRUTE_BUDGET)
     analyze.add_argument(
         "--kv", action="store_true", help="machine-readable key-value output"
     )
@@ -121,18 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     profile = textio.parse_profile(_read(args.profile))
-    config = SolveConfig(
-        method=args.method,
-        width_threshold=args.width_threshold,
-        brute_budget=args.brute_budget,
-        cross_validate=args.cross_validate,
-    )
+    config = SolveConfig(method=args.method, cross_validate=args.cross_validate)
     try:
         solution = solve_profile(profile, config)
     except (BudgetExceeded, MemoryError) as exc:
         # Reported like Intractable: the analysis first, then the reason.
-        report = classify(profile, args.width_threshold, args.brute_budget)
-        print(report.to_text(), file=sys.stderr)
+        print(classify(profile).to_text(), file=sys.stderr)
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     _emit(textio.serialize_solution(profile, solution), args.out)
@@ -143,7 +129,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_analyze(args) -> int:
     profile = textio.parse_profile(_read(args.profile))
-    report = classify(profile, args.width_threshold, args.brute_budget)
+    report = classify(profile)
     text = report.to_kv() if args.kv else report.to_text()
     sys.stdout.write(text + "\n")
     return 0

@@ -4,6 +4,9 @@ The objective is additive over the connected components of the global
 dependency graph, so each component is solved independently (isolated issues
 by counting approvals, the rest by whichever solver the classification
 recommends or the caller forces) and the partial outcomes are concatenated.
+The routing rule and its fixed bounds live in ``analysis`` alone: ``classify``
+picks each component's route, and ``applicable_routes`` lists the solvers a
+forced method or cross-validation may run.
 TREEWIDTH components are solved along the min-fill decomposition that
 ``classify`` kept for them (``ComponentReport.decomposition``).
 The merged outcome's cost is recomputed from scratch and checked against the
@@ -27,14 +30,12 @@ from dataclasses import dataclass
 
 from .analysis import (
     BRUTE,
-    DEFAULT_BRUTE_BUDGET,
-    DEFAULT_WIDTH_THRESHOLD,
     INTRACTABLE,
     MAJORITY,
     MINCUT,
     TREEWIDTH,
     AnalysisReport,
-    check_bounds,
+    applicable_routes,
     classify,
 )
 from .brute import solve_brute
@@ -49,14 +50,11 @@ METHODS = ("auto", "brute", "mincut", "treewidth")
 @dataclass(frozen=True)
 class SolveConfig:
     method: str = "auto"
-    width_threshold: int = DEFAULT_WIDTH_THRESHOLD
-    brute_budget: int = DEFAULT_BRUTE_BUDGET
     cross_validate: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        check_bounds(self.width_threshold, self.brute_budget)
 
 
 def restrict_profile(profile: Profile, issues) -> Profile:
@@ -117,28 +115,17 @@ def majority_alternative(profile: Profile, issue: int) -> int:
     return max(range(d), key=lambda a: (counts[a], -a))
 
 
-def _solve(route: str, comp, sub: Profile, budget: int) -> Solution:
+def _solve(route: str, comp, sub: Profile) -> Solution:
     if route == BRUTE:
-        return solve_brute(sub, budget)
+        return solve_brute(sub)
     if route == MINCUT:
         return solve_mincut(sub)
     return solve_treewidth(sub, comp.decomposition)
 
 
-def _applicable_routes(comp, budget) -> list:
-    routes = []
-    if comp.all_binary and comp.group_dichotomous:
-        routes.append(MINCUT)
-    if comp.delta <= 1:
-        routes.append(TREEWIDTH)
-    if comp.outcome_space <= budget:
-        routes.append(BRUTE)
-    return routes
-
-
-def _route_override(comp, method: str, budget: int, report: AnalysisReport) -> str:
+def _route_override(comp, method: str, report: AnalysisReport) -> str:
     route = {"brute": BRUTE, "mincut": MINCUT, "treewidth": TREEWIDTH}[method]
-    if route not in _applicable_routes(comp, budget):
+    if route not in applicable_routes(comp):
         raise Intractable(report)
     return route
 
@@ -146,12 +133,12 @@ def _route_override(comp, method: str, budget: int, report: AnalysisReport) -> s
 def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solution:
     """Solve component-wise and merge; raises Intractable with the analysis
     report when some component has no applicable route."""
-    report = classify(profile, config.width_threshold, config.brute_budget)
+    report = classify(profile)
 
     plan = []
     for comp in report.components:
         if config.method != "auto":
-            route = _route_override(comp, config.method, config.brute_budget, report)
+            route = _route_override(comp, config.method, report)
         else:
             route = comp.route
             if route == INTRACTABLE:
@@ -174,7 +161,7 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
             )
         else:
             sub = restrict_profile(profile, comp.issues)
-            solution = _solve(route, comp, sub, config.brute_budget)
+            solution = _solve(route, comp, sub)
             if sub is profile and not config.cross_validate:
                 # The one component is the whole profile, and the solver has
                 # verified its outcome over every voter already.
@@ -183,12 +170,12 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
             cost = solution.cost
         if config.cross_validate:
             checked = [cost]
-            for other in _applicable_routes(comp, config.brute_budget):
+            for other in applicable_routes(comp):
                 if other == route:
                     continue
                 if sub is None:
                     sub = restrict_profile(profile, comp.issues)
-                checked.append(_solve(other, comp, sub, config.brute_budget).cost)
+                checked.append(_solve(other, comp, sub).cost)
             if len(set(checked)) > 1:
                 raise InternalMismatch(
                     f"solvers disagree on component {comp.issues}: {checked}"

@@ -22,12 +22,13 @@ from cmsvote import (
     verify_decomposition,
     vertex_cover_number,
 )
+from cmsvote import analysis
 from cmsvote.analysis import (
-    DEFAULT_WIDTH_THRESHOLD,
     MAJORITY,
     MINCUT,
     TREEWIDTH,
     VC_REPORT_CAP,
+    WIDTH_THRESHOLD,
     TreeDecomposition,
     UndirectedGraph,
 )
@@ -166,6 +167,54 @@ class TestGroupDichotomy:
             [("v", [approve(0, {1})])],
         )
         assert is_group_dichotomous(profile)[0]
+
+    @pytest.mark.parametrize(
+        "issues, ballot, premise, reason",
+        [
+            (
+                3,
+                issue_ballot(2, (0, 1), {(0, 0): {0}, (0, 1): {0, 1}, (1, 1): {1}}),
+                (0, 1),
+                "statement (0, 1) -> [0, 1] matches no allowed shape",
+            ),
+            (
+                2,
+                issue_ballot(1, (0,), {(0,): {1}, (1,): {1}}),
+                (0,),
+                "statement (0,) -> [1] matches no allowed shape",
+            ),
+            (
+                2,
+                issue_ballot(1, (0,), {(0,): {0, 1}, (1,): {0}}),
+                (1,),
+                "statement (1,) -> [0] matches no allowed shape",
+            ),
+            (
+                2,
+                issue_ballot(1, (0,), {(0,): {0}, (1,): set()}),
+                (1,),
+                "statement (1,) -> [] matches no allowed shape",
+            ),
+            (
+                None,
+                issue_ballot(1, (0,), {(0,): {0}}),
+                None,
+                "conditional ballot on non-binary issue (3 alternatives)",
+            ),
+        ],
+        ids=["mixed-premise", "one-under-zeros", "zero-under-ones", "empty", "non-binary"],
+    )
+    def test_witness_names_the_first_failing_statement(self, issues, ballot, premise, reason):
+        if issues is None:
+            names = [("A", ("0", "1")), ("B", ("x", "y", "z"))]
+        else:
+            names = [(f"I{j}", ("0", "1")) for j in range(issues)]
+        profile = make_profile(names, [("u", [approve(0, {0})]), ("v", [ballot])])
+        ok, witness = is_group_dichotomous(profile)
+        assert not ok
+        assert (witness.voter, witness.issue) == (1, ballot.issue)
+        assert (witness.premise, witness.reason) == (premise, reason)
+        assert classify(profile).dichotomy_witness == witness
 
     def test_statement_free_conditional_passes(self):
         profile = make_profile(
@@ -463,7 +512,7 @@ class TestClassify:
             exceeding += expected.count(None)
         assert exceeding > 0
 
-    def test_widths_match_an_eager_probe(self):
+    def test_widths_match_an_eager_probe(self, monkeypatch):
         # Every component's width probed up front, as classify once did,
         # against the report's: filled in where routing reads it, on first
         # read elsewhere.  Low thresholds put lazy components past the cap.
@@ -479,7 +528,7 @@ class TestClassify:
                 seed=seed,
                 group_dichotomous=seed % 2 == 0,
             )
-            threshold = rng.choice([1, 2, 3, DEFAULT_WIDTH_THRESHOLD])
+            threshold = rng.choice([1, 2, 3, WIDTH_THRESHOLD])
             graph = build_global_graph(profile)
             eager = []
             for issues in graph.components():
@@ -491,7 +540,8 @@ class TestClassify:
                 capped = heuristic_tree_decomposition(sub, threshold)
                 eager.append(None if capped is None else capped.width)
 
-            report = classify(profile, width_threshold=threshold)
+            monkeypatch.setattr(analysis, "WIDTH_THRESHOLD", threshold)
+            report = classify(profile)
             lazy = [
                 c for c in report.components if c.route in (MAJORITY, MINCUT) or c.delta > 1
             ]
