@@ -10,10 +10,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
-from .model import Profile
+from .model import Profile, lazy_attribute
 
 MAJORITY = "MAJORITY"
 MINCUT = "MINCUT"
@@ -159,7 +158,7 @@ class ComponentReport:
     outcome_space: int
     edges: frozenset = field(repr=False)
 
-    @cached_property
+    @lazy_attribute
     def decomposition(self) -> Optional[TreeDecomposition]:
         """Min-fill decomposition over sub-profile ids (issue ``issues[t]`` is
         vertex ``t``), or None when its width exceeds ``WIDTH_THRESHOLD``.
@@ -167,7 +166,7 @@ class ComponentReport:
         """
         return _component_decomposition(self.issues, self.edges)
 
-    @cached_property
+    @lazy_attribute
     def heuristic_width(self) -> Optional[int]:
         """Width of ``decomposition``; an isolated issue has width 0."""
         if not self.edges:
@@ -185,26 +184,28 @@ class AnalysisReport:
     components: tuple
     profile: Profile = field(compare=False, repr=False)
 
-    @cached_property
+    @lazy_attribute
     def heuristic_width(self) -> Optional[int]:
         """Largest component width; None when some component exceeds the threshold."""
         widths = [c.heuristic_width for c in self.components]
         return None if any(w is None for w in widths) else max(widths, default=0)
 
-    @cached_property
+    @lazy_attribute
     def per_voter_vertex_cover(self) -> tuple:
         """Each voter's vertex cover number, or None when it exceeds VC_REPORT_CAP.
 
         Routing never reads these, so they are computed on first read only.
         """
+        m = self.profile.m
         covers = []
-        for i in range(self.profile.n):
-            voter_graph = build_voter_graph(self.profile, i)
-            undirected = UndirectedGraph(
-                self.profile.m,
-                frozenset((min(u, v), max(u, v)) for u, v in voter_graph.edges),
-            )
-            covers.append(vertex_cover_number(undirected, VC_REPORT_CAP))
+        for voter in self.profile.voters:
+            edges = set()
+            for ballot in voter.ballots.values():
+                j = ballot.issue
+                for k in ballot.scope:
+                    edges.add((k, j) if k < j else (j, k))
+            graph = UndirectedGraph(m, frozenset(edges))
+            covers.append(vertex_cover_number(graph, VC_REPORT_CAP))
         return tuple(covers)
 
     @property
@@ -375,92 +376,118 @@ def _ballot_dichotomy_witness(voter: int, ballot, dom):
 def vertex_cover_number(graph, k_max: int) -> Optional[int]:
     """Exact minimum vertex cover size if it is at most ``k_max``, else None.
 
-    The minimum cover of a graph is the sum of its connected components'
-    minimum covers, so the edges are split into components first and each
-    is searched with the budget the earlier ones left; the answer is None
-    as soon as one component does not fit.  Within a component a bounded
-    search tree branches on a highest-degree vertex and one neighbor of it.
-    Before branching, three exact reductions apply: a degree-1 vertex puts
-    its only neighbor into the cover (some minimum cover contains it), any
-    vertex with more than budget neighbors is forced into the cover (a
-    smaller cover would need all its neighbors), and more than budget^2
-    leftover edges cannot be covered at all.  Every step puts a vertex of
-    the component into the cover, so a component of V_c vertices and E_c
-    edges costs O(2^d * E_c) with d = min(V_c, budget left): the search is
-    exponential in one component's size at most, never in the whole graph,
-    and a forest, where the leaf rule always applies, takes O(V_c * E_c).
+    The vertices are relabelled to bits, so a vertex set is an int and a
+    degree is the popcount of a neighbour mask.  The search applies three
+    exact reductions for as long as one does: a degree-1 vertex puts its
+    only neighbour into the cover (some minimum cover contains it), a
+    vertex with more than budget neighbours is forced into the cover (a
+    smaller cover would need all its neighbours), and more than budget^2
+    edges cannot be covered at all.  If what is left falls apart into
+    several connected components, each is searched with the budget the
+    earlier ones left, as the minimum cover of a graph is the sum of its
+    components' minimum covers.  A connected rest is branched on at a
+    highest-degree vertex v: either v is in the cover, or all of its
+    d >= 2 neighbours are, which spends d of the budget at once.  One pass
+    of the reductions costs O(V) popcounts and puts at least one vertex
+    into the cover, so a graph the reductions finish, such as a forest,
+    costs O(V * k_max); branching makes at most about 1.62^b search nodes
+    on budget b, and no more than one component's size allows, so the
+    search is exponential in the budget and in one component at most,
+    never in the whole graph.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    bit = {}  # vertex -> bit index, in order of first appearance
+    pairs = [
+        (bit.setdefault(u, len(bit)), bit.setdefault(v, len(bit))) for u, v in graph.edges
+    ]
+    nbr = [0] * len(bit)
+    for a, b in pairs:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    return _cover_search(nbr, (1 << len(nbr)) - 1, k_max)
 
-    def search(remaining, budget):
-        if not remaining:
-            return 0
-        if budget <= 0:
-            return None
+
+def _cover_search(nbr, alive, budget):
+    """Minimum cover of the edges among the vertex bits ``alive`` if it is
+    at most ``budget``, else None; ``nbr[t]`` is vertex t's neighbour mask."""
+    size = 0
+    while True:
         degree = {}
-        for u, v in remaining:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        leaves = [v for v, d in degree.items() if d == 1]
+        leaves = []
+        for t, mask in enumerate(nbr):
+            if alive >> t & 1:
+                d = (mask & alive).bit_count()
+                if d:
+                    degree[t] = d
+                    if d == 1:
+                        leaves.append(t)
+        if not degree:
+            return size
         if leaves:
-            # some minimum cover contains the leaf's only neighbor
-            leaf = min(leaves)
-            w = next(v for e in remaining if leaf in e for v in e if v != leaf)
-            sub = search([e for e in remaining if w not in e], budget - 1)
-            return None if sub is None else 1 + sub
-        heavy = sorted(v for v, d in degree.items() if d > budget)
-        if heavy:
-            # any cover within budget must contain this vertex
-            w = heavy[0]
-            sub = search([e for e in remaining if w not in e], budget - 1)
-            return None if sub is None else 1 + sub
-        if len(remaining) > budget * budget:
-            return None  # budget vertices of degree <= budget cover too little
-        w = min(degree, key=lambda v: (-degree[v], v))
-        partner = min(v for e in remaining if w in e for v in e if v != w)
-        best = None
-        sub = search([e for e in remaining if w not in e], budget - 1)
-        if sub is not None:
-            best = 1 + sub
-        cap = budget - 1 if best is None else best - 2
-        if cap >= 0:
-            sub = search([e for e in remaining if partner not in e], cap)
-            if sub is not None and (best is None or 1 + sub < best):
-                best = 1 + sub
-        return best
-
-    total = 0
-    for edges in _edge_components(graph.edges):
-        size = search(edges, k_max - total)
-        if size is None:
-            return None
-        total += size
-    return total
-
-
-def _edge_components(edges) -> list:
-    """Undirected edges as sorted (min, max) pairs, grouped by connected component."""
-    pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    adj = {}
-    for u, v in pairs:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    root = {}
-    for start in adj:
-        if start in root:
+            # some minimum cover contains a leaf's only neighbour; taking
+            # one can only leave later leaves isolated or removed
+            for t in leaves:
+                if alive >> t & 1 and nbr[t] & alive:
+                    if budget == 0:
+                        return None
+                    alive ^= nbr[t] & alive
+                    budget -= 1
+                    size += 1
             continue
-        root[start] = start
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in root:
-                    root[w] = start
-                    stack.append(w)
-    groups = {}
-    for e in pairs:
-        groups.setdefault(root[e[0]], []).append(e)
-    return list(groups.values())
+        # any cover within budget contains every vertex of larger degree
+        heavy = [t for t, d in degree.items() if d > budget]
+        if not heavy:
+            break
+        if len(heavy) > budget:
+            return None
+        for t in heavy:
+            alive ^= 1 << t
+        budget -= len(heavy)
+        size += len(heavy)
+
+    if sum(degree.values()) > 2 * budget * budget:
+        return None  # budget vertices of degree <= budget cover too little
+    comps = []
+    rest = sum(1 << t for t in degree)  # the vertices that still have edges
+    while rest:
+        comps.append(_component(nbr, rest))
+        rest ^= comps[-1]
+    if len(comps) > 1:
+        for comp in comps:
+            found = _cover_search(nbr, comp, budget)
+            if found is None:
+                return None
+            budget -= found
+            size += found
+        return size
+
+    alive = comps[0]
+    v = max(degree, key=degree.get)
+    best = _cover_search(nbr, alive ^ (1 << v), budget - 1)
+    if best is not None:
+        best += 1
+    d = degree[v]
+    cap = budget - d if best is None else best - 1 - d
+    if cap >= 0:
+        found = _cover_search(nbr, alive & ~(nbr[v] | 1 << v), cap)
+        if found is not None:
+            best = d + found
+    return None if best is None else size + best
+
+
+def _component(nbr, alive):
+    """The connected component, within ``alive``, of its lowest vertex bit."""
+    comp = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= nbr[low.bit_length() - 1]
+        frontier = reach & alive & ~comp
+        comp |= frontier
+    return comp
 
 
 def _min_fill_run(graph: UndirectedGraph, width_cap=None):
@@ -472,61 +499,74 @@ def _min_fill_run(graph: UndirectedGraph, width_cap=None):
     exactly what the uncapped run would produce; bounded bag sizes keep every
     capped step cheap, which is what lets the classifier answer "is the
     heuristic width small?" without paying for a full decomposition.
+
+    Treewidth is at least the minimum degree, and whichever vertex goes
+    first has at least that many neighbours, so a capped run on a graph
+    whose minimum degree exceeds the cap returns None after one O(V + E)
+    pass, before any fill count is computed.  Otherwise each vertex keeps
+    its fill count, the neighbour pairs that are not adjacent, computed once
+    as C(d, 2) minus half the sum over its neighbours u of |N(u) & N|.
+    Eliminating v changes only two kinds of count: a neighbour of v loses v
+    and gains fill edges, so it is recounted, and a vertex outside N(v)
+    adjacent to both ends of a new fill edge loses one missing pair, so it
+    is decremented.  A step therefore costs one set intersection per new
+    fill edge plus the recount of N(v), instead of a pair scan of every
+    vertex within two hops.
     """
     n = graph.n
-    adj = {v: set() for v in range(n)}
+    adj = [set() for _ in range(n)]
     for u, v in graph.edges:
         adj[u].add(v)
         adj[v].add(u)
+    if width_cap is not None and min(map(len, adj), default=0) > width_cap:
+        return None
 
-    def fill_cost(v):
-        nbrs = sorted(adj[v])
-        missing = 0
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                if nbrs[b] not in adj[nbrs[a]]:
-                    missing += 1
-        return missing
+    def fill_count(v):
+        nbrs = adj[v]
+        d = len(nbrs)
+        return d * (d - 1) // 2 - sum([len(adj[u] & nbrs) for u in nbrs]) // 2
 
+    fill = [fill_count(v) for v in range(n)]
     # Lazy heap of (fill, degree, vertex); stale entries are skipped by
-    # comparing against the current cost.
-    current = {v: (fill_cost(v), len(adj[v])) for v in range(n)}
-    heap = [(fill, deg, v) for v, (fill, deg) in current.items()]
+    # comparing against the current counts.
+    heap = [(fill[v], len(adj[v]), v) for v in range(n)]
     heapq.heapify(heap)
 
+    eliminated = [False] * n
     order = []
     position = {}
     bags = []
-    while adj:
+    for _ in range(n):
         while True:
-            fill, deg, v = heapq.heappop(heap)
-            if v in adj and current[v] == (fill, deg):
+            f, deg, v = heapq.heappop(heap)
+            if not eliminated[v] and f == fill[v] and deg == len(adj[v]):
                 break
-        if width_cap is not None and len(adj[v]) > width_cap:
+        nbrs = adj[v]
+        if width_cap is not None and len(nbrs) > width_cap:
             return None
-        nbrs = sorted(adj[v])
-        bags.append(frozenset([v] + nbrs))
+        ordered = sorted(nbrs)
+        bags.append(frozenset([v] + ordered))
         position[v] = len(order)
         order.append(v)
-        touched = set(nbrs)
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                x, y = nbrs[a], nbrs[b]
-                if y not in adj[x]:
-                    adj[x].add(y)
+        eliminated[v] = True
+        changed = set(nbrs)
+        for a, x in enumerate(ordered):
+            adj_x = adj[x]
+            for y in ordered[a + 1:]:
+                if y not in adj_x:
+                    # v and the rest of N(v) are in common too; the one
+                    # is gone and the others are recounted below
+                    common = adj_x & adj[y]
+                    for w in common:
+                        fill[w] -= 1
+                    changed |= common
+                    adj_x.add(y)
                     adj[y].add(x)
         for u in nbrs:
             adj[u].discard(v)
-            touched.update(adj[u])
-        del adj[v]
-        del current[v]
-        touched.discard(v)
-        for u in touched:
-            if u in adj:
-                entry = (fill_cost(u), len(adj[u]))
-                if current[u] != entry:
-                    current[u] = entry
-                    heapq.heappush(heap, (entry[0], entry[1], u))
+            fill[u] = fill_count(u)  # v is out of N(u), so of every count
+        for u in changed:
+            heapq.heappush(heap, (fill[u], len(adj[u]), u))
     return bags, order, position
 
 
@@ -739,7 +779,7 @@ def classify(profile: Profile) -> AnalysisReport:
             route = INTRACTABLE
         comp = ComponentReport(issues_t, route, binary, gd, delta, space, sub_edges)
         if probed:
-            vars(comp)["decomposition"] = decomposition  # the cached_property's slot
+            vars(comp)["decomposition"] = decomposition  # the lazy attribute's slot
         comps.append(comp)
 
     return AnalysisReport(

@@ -39,11 +39,37 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Premise = tuple  # alternative indices, aligned with the ballot's sorted scope
 Outcome = tuple  # one alternative index per issue
+
+
+class lazy_attribute:
+    """A value computed on first read and stored in the instance dict.
+
+    This is ``functools.cached_property`` without its class-wide lock, which
+    Python 3.10 and 3.11 take on every first read.  The stored value shadows
+    the descriptor from then on, so a value written into ``vars(obj)`` under
+    the attribute's name beforehand is read instead of computed.  Two
+    threads reading the attribute first at once may both compute it; every
+    use here is a pure function of a frozen instance, so both store equal
+    values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        instance.__dict__[self.name] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -93,11 +119,11 @@ class Profile:
 
     # Cached values live in the instance dict, which dataclass equality,
     # hashing and repr ignore.
-    @cached_property
+    @lazy_attribute
     def _domain_sizes(self) -> tuple:
         return tuple(len(issue.alternatives) for issue in self.issues)
 
-    @cached_property
+    @lazy_attribute
     def ballots_by_issue(self) -> tuple:
         """Per issue, the (voter index, ballot) pairs of the voters that hold
         an explicit ballot on it, in voter order.

@@ -9,12 +9,15 @@ oracle tries every subset, the capped-cover reference
 split or the leaf rule, the component split and majority count scan every
 voter instead of reading the profile's per-issue ballot index, the
 tree-decomposition reference keeps every full DP table for its traceback,
-and ``violated`` states the two-monotone constraint semantics that the
-min-cut gadget is checked against.
+the min-fill reference ``naive_min_fill`` rescans the neighbour pairs of
+every vertex within two hops of each eliminated one, and ``violated``
+states the two-monotone constraint semantics that the min-cut gadget is
+checked against.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import random
@@ -486,3 +489,55 @@ def naive_vertex_cover_number(graph: UndirectedGraph, k_max: int):
         return best
 
     return search(edges, k_max)
+
+
+def naive_min_fill(graph: UndirectedGraph, width_cap=None):
+    """``_min_fill_run``'s elimination, recounting each fill from scratch:
+    every vertex within two hops of the eliminated one gets its neighbour
+    pairs scanned again, and a capped run stops only at a bag that is too
+    large, with no minimum-degree shortcut."""
+    adj = {v: set() for v in range(graph.n)}
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def fill_cost(v):
+        nbrs = sorted(adj[v])
+        return sum(
+            1
+            for a in range(len(nbrs))
+            for b in range(a + 1, len(nbrs))
+            if nbrs[b] not in adj[nbrs[a]]
+        )
+
+    current = {v: (fill_cost(v), len(adj[v])) for v in adj}
+    heap = [(fill, deg, v) for v, (fill, deg) in current.items()]
+    heapq.heapify(heap)
+    order, position, bags = [], {}, []
+    while adj:
+        while True:
+            fill, deg, v = heapq.heappop(heap)
+            if v in adj and current[v] == (fill, deg):
+                break
+        if width_cap is not None and len(adj[v]) > width_cap:
+            return None
+        nbrs = sorted(adj[v])
+        bags.append(frozenset([v] + nbrs))
+        position[v] = len(order)
+        order.append(v)
+        for a in range(len(nbrs)):
+            for b in range(a + 1, len(nbrs)):
+                adj[nbrs[a]].add(nbrs[b])
+                adj[nbrs[b]].add(nbrs[a])
+        touched = set(nbrs)
+        for u in nbrs:
+            adj[u].discard(v)
+            touched.update(adj[u])
+        del adj[v], current[v]
+        touched.discard(v)
+        for u in touched:
+            entry = (fill_cost(u), len(adj[u]))
+            if current[u] != entry:
+                current[u] = entry
+                heapq.heappush(heap, (*entry, u))
+    return bags, order, position

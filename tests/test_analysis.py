@@ -38,6 +38,7 @@ from helpers import (
     build_p1,
     corrupt_decomposition,
     exhaustive_vertex_cover,
+    naive_min_fill,
     naive_verify_decomposition,
     naive_vertex_cover_number,
     random_undirected_graph,
@@ -76,6 +77,46 @@ def disjoint_union(graphs):
         edges.update((u + offset, v + offset) for u, v in graph.edges)
         offset += graph.n
     return UndirectedGraph(offset, frozenset(edges))
+
+
+def shuffled(rng, graph):
+    """The graph with its vertex ids permuted at random."""
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return UndirectedGraph(
+        graph.n,
+        frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges),
+    )
+
+
+def voter_shaped_graph(rng):
+    """Stars, paths, triangles, small dense parts and forests side by side,
+    up to 14 vertices in all, under shuffled ids."""
+    parts = [
+        lambda: star(rng.randint(1, 4)),
+        lambda: path(rng.randint(2, 5)),
+        triangle,
+        lambda: random_undirected_graph(rng, rng.randint(2, 5), 0.7),
+        lambda: random_forest(rng, rng.randint(2, 6)),
+    ]
+    graphs = []
+    while True:
+        part = rng.choice(parts)()
+        if sum(g.n for g in graphs) + part.n > 14:
+            return shuffled(rng, disjoint_union(graphs))
+        graphs.append(part)
+
+
+def regular_circulant(n, half_degree):
+    """Vertex i adjacent to i +- 1 .. i +- half_degree (mod n)."""
+    return UndirectedGraph(
+        n,
+        frozenset(
+            tuple(sorted((i, (i + s) % n)))
+            for i in range(n)
+            for s in range(1, half_degree + 1)
+        ),
+    )
 
 
 def grid_graph(rho):
@@ -240,7 +281,8 @@ class TestVertexCover:
 
     def test_matches_exhaustive_search(self):
         # None exactly when the exhaustive cover exceeds the bound, at every
-        # bound; forests, several components, isolated vertices and stars.
+        # bound; forests, several components, isolated vertices, stars, and
+        # up to 14 vertices of small parts as a voter's graph has them.
         shapes = {
             "random": lambda rng: random_undirected_graph(
                 rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7])
@@ -253,6 +295,7 @@ class TestVertexCover:
             "stars": lambda rng: disjoint_union(
                 [star(rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
             ),
+            "voter-shaped": voter_shaped_graph,
         }
         for shape, make in shapes.items():
             for seed in range(60):
@@ -344,6 +387,47 @@ class TestTreeDecomposition:
             "edge uncovered",
             "connectivity violated",
         }, verdicts
+
+
+class TestMinFill:
+    CAPS = (None, 1, 2, 3, 8)
+
+    def test_matches_the_recounting_reference(self):
+        # (bags, order, position) identical at every cap: sparse and dense
+        # random graphs, then the global graphs of gen_grid profiles.
+        graphs = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            graphs.append(random_undirected_graph(rng, rng.randint(1, 20), rng.random()))
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(8, 16)
+            graphs.append(random_undirected_graph(rng, n, rng.uniform(0.7, 0.95)))
+        graphs += [build_global_graph(gen_grid(rho)) for rho in range(2, 7)]
+        gave_up = 0
+        for graph in graphs:
+            for cap in self.CAPS:
+                result = analysis._min_fill_run(graph, cap)
+                assert result == naive_min_fill(graph, cap), (graph, cap)
+                gave_up += result is None
+        assert gave_up > 0
+
+    def test_minimum_degree_past_the_cap_gives_up(self):
+        # K10 and a 10-regular graph: every vertex has 10 or 9 neighbours
+        for graph in (complete(10), regular_circulant(21, 5)):
+            assert analysis._min_fill_run(graph, 8) is None
+            assert naive_min_fill(graph, 8) is None
+        bags, _, _ = analysis._min_fill_run(complete(10), 9)
+        assert max(map(len, bags)) == 10
+
+    def test_width_past_the_cap_gives_up_above_the_degree_bound(self):
+        # K10 with a pendant vertex (minimum degree 1) and a 6 x 6 grid
+        # (minimum degree 2): the degree bound passes, the width does not
+        pendant = UndirectedGraph(11, complete(10).edges | {(9, 10)})
+        for graph, cap in ((pendant, 8), (grid_graph(6), 3)):
+            assert analysis._min_fill_run(graph, cap) is None
+            assert naive_min_fill(graph, cap) is None
+            assert analysis._min_fill_run(graph, None) == naive_min_fill(graph, None)
 
 
 class TestMakeNice:
@@ -488,11 +572,11 @@ class TestClassify:
         assert classify(profiles[2]).per_voter_vertex_cover == (None, 2)
 
     def test_covers_match_the_unsplit_search(self):
-        # group-dichotomous or not, delta 1-3; 16 voters exceed the cap
-        exceeding = 0
-        for seed in range(100):
-            rng = random.Random(seed)
-            profile = gen_random(
+        # Small profiles, group-dichotomous or not, delta 1-3 (16 voters
+        # exceed the cap); then 40-90 issues, where a voter's graph falls
+        # into many small components and covers reach the cap (76 exceed it).
+        def small(seed, rng):
+            return gen_random(
                 rng.randint(6, 36),
                 rng.randint(2, 5),
                 d_max=3,
@@ -501,16 +585,33 @@ class TestClassify:
                 seed=seed,
                 group_dichotomous=seed % 2 == 0,
             )
-            expected = []
-            for i in range(profile.n):
-                edges = build_voter_graph(profile, i).edges
-                graph = UndirectedGraph(
-                    profile.m, frozenset((min(u, v), max(u, v)) for u, v in edges)
-                )
-                expected.append(naive_vertex_cover_number(graph, VC_REPORT_CAP))
-            assert classify(profile).per_voter_vertex_cover == tuple(expected), seed
-            exceeding += expected.count(None)
-        assert exceeding > 0
+
+        def many_parts(seed, rng):
+            return gen_random(
+                rng.randint(40, 90),
+                rng.randint(3, 6),
+                d_max=2,
+                delta_max=1 + seed % 2,
+                statement_density=rng.choice([0.1, 0.2, 0.3]),
+                seed=seed,
+                group_dichotomous=seed % 3 == 0,
+            )
+
+        for family, seeds in ((small, 100), (many_parts, 50)):
+            exceeding = 0
+            for seed in range(seeds):
+                profile = family(seed, random.Random(seed))
+                expected = []
+                for i in range(profile.n):
+                    edges = build_voter_graph(profile, i).edges
+                    graph = UndirectedGraph(
+                        profile.m, frozenset((min(u, v), max(u, v)) for u, v in edges)
+                    )
+                    expected.append(naive_vertex_cover_number(graph, VC_REPORT_CAP))
+                covers = classify(profile).per_voter_vertex_cover
+                assert covers == tuple(expected), (family.__name__, seed)
+                exceeding += expected.count(None)
+            assert exceeding > 0, family.__name__
 
     def test_widths_match_an_eager_probe(self, monkeypatch):
         # Every component's width probed up front, as classify once did,
