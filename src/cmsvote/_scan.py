@@ -13,7 +13,8 @@ Table layout and guards:
 
 - A table's cells count dissatisfied pairs, and so does every sum of cells
   of distinct tables (a bucket table, a message), so no such sum exceeds the
-  number of pairs.  Cells are int32, or int64 from 2^31 pairs on.
+  number of pairs.  Cells are int16 below 2^15 pairs, int32 below 2^31 and
+  int64 from then on.
 - The factor tables together hold the sum over axis tuples of the product of
   their domain sizes.  That figure is predicted before anything is allocated
   and checked against the caller's budget (``BudgetExceeded`` when larger).
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .model import Profile, approves_all
+from .model import Profile, alternatives, approves_all
 
 # Bounds the work of one elimination: the sum over its buckets of the product
 # of their scopes' domain sizes.  Each bucket table is freed once its minimum
@@ -68,6 +69,8 @@ def _count_dtype(n_pairs: int) -> type:
     """Integer type that holds every count from 0 up to n_pairs."""
     import numpy as np
 
+    if n_pairs < 2**15:
+        return np.int16
     return np.int32 if n_pairs < 2**31 else np.int64
 
 
@@ -110,7 +113,7 @@ def compile_cost_model(profile: Profile, budget: int) -> CostModel:
                 for k, v in zip(ballot.scope, premise):
                     cell[pos[k]] = v
                 fixed = cell[target]
-                for a in approved:
+                for a in alternatives(approved):
                     if fixed is None or fixed == a:
                         cell[target] = a
                         table[tuple(cell)] -= 1

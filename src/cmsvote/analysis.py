@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Profile, lazy_attribute
+from .model import Profile, alternatives, lazy_attribute
 
 MAJORITY = "MAJORITY"
 MINCUT = "MINCUT"
@@ -318,9 +318,9 @@ def is_group_dichotomous(profile: Profile):
     return True, None
 
 
-_ZERO = frozenset((0,))
-_ONE = frozenset((1,))
-_BOTH = frozenset((0, 1))
+_ZERO = 0b01  # approval masks of {0}, {1} and {0, 1}
+_ONE = 0b10
+_BOTH = 0b11
 _LOW_SHAPES = (_ZERO, _BOTH)  # the approval sets allowed at the all-0 premise
 _HIGH_SHAPES = (_ONE, _BOTH)  # and at the all-1 premise
 
@@ -328,10 +328,11 @@ _HIGH_SHAPES = (_ONE, _BOTH)  # and at the all-1 premise
 def dichotomy_terms(ballot):
     """(low, high) for a conditional ballot of group-dichotomous shape, else None.
 
-    ``low`` and ``high`` are the approval sets at the all-0 and the all-1
+    ``low`` and ``high`` are the approval masks at the all-0 and the all-1
     premise, None where the ballot has no such statement.  The shape holds
     when no other premise has a statement, ``low`` is {0} or {0, 1} and
-    ``high`` is {1} or {0, 1}.  The target issue's domain is not checked.
+    ``high`` is {1} or {0, 1} (masks ``_ZERO`` or ``_BOTH`` and ``_ONE`` or
+    ``_BOTH``).  The target issue's domain is not checked.
     """
     statements = ballot.statements
     size = len(ballot.scope)
@@ -368,7 +369,7 @@ def _ballot_dichotomy_witness(voter: int, ballot, dom):
         voter,
         j,
         premise,
-        f"statement {premise} -> {sorted(ballot.statements[premise])} "
+        f"statement {premise} -> {list(alternatives(ballot.statements[premise]))} "
         "matches no allowed shape",
     )
 

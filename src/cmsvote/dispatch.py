@@ -110,8 +110,9 @@ def majority_alternative(profile: Profile, issue: int) -> int:
     d = len(profile.issues[issue].alternatives)
     counts = [0] * d
     for _, ballot in profile.ballots_by_issue[issue]:
-        for a in ballot.statements[()]:
-            counts[a] += 1
+        approved = ballot.statements[()]
+        for a in range(d):
+            counts[a] += approved >> a & 1
     return max(range(d), key=lambda a: (counts[a], -a))
 
 
@@ -157,7 +158,7 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
             cost = sum(
                 1
                 for _, ballot in profile.ballots_by_issue[issue]
-                if alt not in ballot.statements[()]
+                if not ballot.statements[()] >> alt & 1
             )
         else:
             sub = restrict_profile(profile, comp.issues)

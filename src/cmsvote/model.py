@@ -20,25 +20,33 @@ Representation notes:
   ``parse_profile`` as it reads) canonicalizes explicit approve-all entries
   away, as ``approves_all`` decides them, so structural equality is
   meaningful.
-- All types are frozen dataclasses, and their dict fields (a voter's
-  ballots, a ballot's statements) are plain dicts treated as read-only.
-  Approval sets and scope and premise tuples are immutable and may be
-  shared between ballots (the parser shares approval sets within a
-  document); a statement dict is never shared, so each ballot owns its own.
-  Every operation is a pure function, so concurrent use needs no locking.
-  ``Profile`` relies on this to cache derived facts on first use: the
-  domain sizes and a per-issue index of the explicit ballots
+- An approval set is an int bitmask over the issue's alternatives: bit ``a``
+  is set iff alternative ``a`` is approved, so satisfaction is one shift and
+  one and (``approved >> a & 1``) and ``alternatives`` lists the indices.
+  ``issue_ballot`` and ``approve`` take either a mask or an iterable of
+  indices.
+- All types are frozen dataclasses; ``IssueBallot`` is slotted as well.  A
+  voter's ballots are a read-only ``types.MappingProxyType`` over a copy of
+  the map it was built from, so they cannot change once the voter exists.
+  A ballot's statement map is a plain dict treated as read-only.  Its keys
+  (premise tuples of ints) and values (masks) are atomic, so the cyclic GC
+  stops tracking the keys at their first collection and the dict at the
+  first full collection.  Scope and premise tuples and masks may be shared
+  between ballots; a statement dict is never shared, so each ballot owns
+  its own.  Every operation is a pure function, so concurrent use needs no
+  locking.  ``Profile`` relies on this to cache derived facts on first use:
+  the domain sizes and a per-issue index of the explicit ballots
   (``ballots_by_issue``), which lets per-issue work such as splitting off a
   component or counting approvals skip the voters without a ballot there.
-  Mutating a voter's ballot dict after the index is read leaves the index
-  stale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 Premise = tuple  # alternative indices, aligned with the ballot's sorted scope
@@ -78,13 +86,13 @@ class Issue:
     alternatives: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IssueBallot:
     """One voter's ballot restricted to a single target issue.
 
     ``scope`` lists the issues the ballot conditions on, sorted ascending;
     ``statements`` maps premise tuples (alternative indices in scope order)
-    to nonempty approval sets.  An empty scope means an unconditional ballot
+    to nonempty approval masks.  An empty scope means an unconditional ballot
     and then ``statements`` holds exactly the entry for the empty premise.
     A nonempty scope with an empty statement map is a ballot that can never
     be satisfied.
@@ -98,7 +106,16 @@ class IssueBallot:
 @dataclass(frozen=True)
 class Voter:
     name: str
-    ballots: dict  # issue id -> IssueBallot; absent issues approve everything
+    ballots: Mapping  # issue id -> IssueBallot; absent issues approve everything
+
+    def __post_init__(self):
+        # A read-only view of a private copy: nothing can change the ballots
+        # that ``Profile.ballots_by_issue`` indexes.
+        object.__setattr__(self, "ballots", MappingProxyType(dict(self.ballots)))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or deep-copied; rebuild from a dict.
+        return Voter, (self.name, dict(self.ballots))
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ class Profile:
         found = self.voters[voter].ballots.get(issue)
         if found is not None:
             return found
-        full = frozenset(range(len(self.issues[issue].alternatives)))
+        full = (1 << len(self.issues[issue].alternatives)) - 1
         return IssueBallot(issue, (), {(): full})
 
 
@@ -176,35 +193,55 @@ class Violation:
         return f"{prefix}{self.code}: {self.detail}"
 
 
+@functools.lru_cache(maxsize=1024)
+def alternatives(mask: int) -> tuple:
+    """The alternative indices set in an approval mask, ascending.
+
+    Cached, since a profile holds few distinct masks and compiling its cost
+    tables reads one per statement.
+    """
+    if mask < 0:
+        raise ValueError(f"approval mask {mask} is negative")
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
+
+
+def _mask(approved) -> int:
+    """An approval mask given as itself or as an iterable of indices."""
+    if isinstance(approved, int):
+        return approved
+    mask = 0
+    for a in approved:
+        mask |= 1 << a
+    return mask
+
+
 def issue_ballot(issue: int, scope: Iterable, statements) -> IssueBallot:
     """Build a canonical IssueBallot.
 
     ``statements`` is a mapping or iterable of (premise, approvals) pairs with
-    premises given in sorted-scope order; duplicate premises are merged by
-    union of their approval sets.
+    premises given in sorted-scope order and approvals given as a mask or an
+    iterable of alternative indices; duplicate premises are merged by union
+    of their approval sets.
     """
     scope_t = tuple(sorted(scope))
     items = statements.items() if isinstance(statements, Mapping) else statements
     merged = {}
     for premise, approved in items:
         key = tuple(premise)
-        approved = frozenset(approved)
-        if key in merged:
-            merged[key] = merged[key] | approved
-        else:
-            merged[key] = approved
+        merged[key] = merged.get(key, 0) | _mask(approved)
     return IssueBallot(issue, scope_t, merged)
 
 
-def approve(issue: int, approved: Iterable) -> IssueBallot:
-    """Unconditional ballot approving the given alternatives."""
-    return IssueBallot(issue, (), {(): frozenset(approved)})
+def approve(issue: int, approved) -> IssueBallot:
+    """Unconditional ballot approving the given alternatives (a mask or an
+    iterable of indices)."""
+    return IssueBallot(issue, (), {(): _mask(approved)})
 
 
 def approves_all(ballot: IssueBallot, domain_size: int) -> bool:
     """Whether the ballot approves all ``domain_size`` alternatives
     unconditionally: the implicit default, which profiles never store."""
-    return not ballot.scope and len(ballot.statements.get((), ())) == domain_size
+    return not ballot.scope and ballot.statements.get(()) == (1 << domain_size) - 1
 
 
 def make_profile(issues, voters) -> Profile:
@@ -239,8 +276,8 @@ def is_satisfied(profile: Profile, voter: int, issue: int, outcome: Sequence) ->
     ballot = profile.voters[voter].ballots.get(issue)
     if ballot is None:
         return True
-    approved = ballot.statements.get(tuple(outcome[k] for k in ballot.scope))
-    return approved is not None and outcome[issue] in approved
+    approved = ballot.statements.get(tuple(outcome[k] for k in ballot.scope), 0)
+    return bool(approved >> outcome[issue] & 1)
 
 
 def voter_dissatisfaction(profile: Profile, voter: int, outcome: Sequence) -> int:
@@ -249,8 +286,8 @@ def voter_dissatisfaction(profile: Profile, voter: int, outcome: Sequence) -> in
         raise IndexError(f"voter index {voter} out of range")
     count = 0
     for ballot in profile.voters[voter].ballots.values():
-        approved = ballot.statements.get(tuple(outcome[k] for k in ballot.scope))
-        if approved is None or outcome[ballot.issue] not in approved:
+        approved = ballot.statements.get(tuple(outcome[k] for k in ballot.scope), 0)
+        if not approved >> outcome[ballot.issue] & 1:
             count += 1
     return count
 
@@ -358,12 +395,14 @@ def validate_profile(profile: Profile) -> list:
                     problems.append(
                         Violation("bad-premise", f"premise {premise} out of domain", voter=i, issue=j)
                     )
-                if not approved:
-                    problems.append(
-                        Violation("empty-approval", "approval sets must be nonempty", voter=i, issue=j)
-                    )
-                elif any(not 0 <= a < dom[j] for a in approved):
+                # Bits at or above the domain size, or a negative mask,
+                # survive the shift.
+                if not isinstance(approved, int) or approved >> dom[j]:
                     problems.append(
                         Violation("bad-alternative", "approval set out of domain", voter=i, issue=j)
+                    )
+                elif not approved:
+                    problems.append(
+                        Violation("empty-approval", "approval sets must be nonempty", voter=i, issue=j)
                     )
     return problems

@@ -23,11 +23,13 @@ Counts are ASCII digits without a leading zero, as the serializer writes
 them.
 
 ``parse_profile`` reads a document in one pass over the rows that ``_rows``
-yields line by line, so no list of rows is held.  Within one document each
-issue's approval tokens map to one shared frozenset.  Only these immutable
-sets are shared: every ballot gets its own statement dict.  Unconditional
-ballots that approve every alternative (``model.approves_all``) are dropped
-while parsing, as ``make_profile`` drops them.
+yields line by line, so no list of rows is held.  An approval set is read
+into an int mask (``model.alternatives`` lists its bits), and within one
+document each issue's approval tokens map to one remembered mask, so a
+repeated token list is not looked up again.  Every ballot gets its own
+statement dict.  Unconditional ballots that approve every alternative
+(``model.approves_all``) are dropped while parsing, as ``make_profile``
+drops them.
 
 Solution documents::
 
@@ -51,7 +53,15 @@ import warnings
 
 from .errors import ParseError
 from .generators import CnfFormula, ColoredGraph, CspInstance
-from .model import Issue, IssueBallot, Profile, Solution, Voter, approves_all
+from .model import (
+    Issue,
+    IssueBallot,
+    Profile,
+    Solution,
+    Voter,
+    alternatives,
+    approves_all,
+)
 
 
 class FormatWarning(UserWarning):
@@ -102,8 +112,8 @@ def parse_profile(text: str) -> Profile:
     merged duplicates), so each equals what ``issue_ballot`` would build from
     the same statements, and approve-all unconditional ballots are dropped
     as ``make_profile`` drops them.  Each issue's approval tokens are read
-    into one frozenset shared within the document; every ballot gets its own
-    statement dict.
+    into one int mask remembered within the document; every ballot gets its
+    own statement dict.
     """
     rows = _rows(text)
     ln, tokens = _take(rows, 1, "'cmsprofile 1' header")
@@ -143,12 +153,14 @@ def parse_profile(text: str) -> Profile:
     if n < 1:
         raise ParseError(ln, "profiles need at least one voter")
 
-    approvals = [{} for _ in range(m)]  # per issue: alternative tokens -> frozenset
+    approvals = [{} for _ in range(m)]  # per issue: alternative tokens -> mask
 
     def approval(ln, j, alt_tokens):
         table = alt_index[j]
+        approved = 0
         try:
-            approved = frozenset([table[a] for a in alt_tokens])
+            for a in alt_tokens:
+                approved |= 1 << table[a]
         except KeyError:
             raise unknown_alternative(ln, j, alt_tokens) from None
         approvals[j][alt_tokens] = approved
@@ -322,7 +334,7 @@ def serialize_profile(profile: Profile) -> str:
             if approves_all(ballot, len(issue.alternatives)):
                 continue
             if not ballot.scope:
-                approved = sorted(ballot.statements[()])
+                approved = alternatives(ballot.statements[()])
                 alts = " ".join(issue.alternatives[a] for a in approved)
                 out.append(f"approve {issue.name} {alts}")
                 continue
@@ -331,7 +343,7 @@ def serialize_profile(profile: Profile) -> str:
                 out.append(f"depends {issue.name} on {names}")
                 continue
             for premise in sorted(ballot.statements):
-                approved = sorted(ballot.statements[premise])
+                approved = alternatives(ballot.statements[premise])
                 condition = ",".join(
                     f"{profile.issues[k].name}={profile.issues[k].alternatives[v]}"
                     for k, v in zip(ballot.scope, premise)

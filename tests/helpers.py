@@ -219,7 +219,7 @@ def naive_majority_alternative(profile, issue):
     for voter in profile.voters:
         ballot = voter.ballots.get(issue)
         for a in range(d):
-            if ballot is None or a in ballot.statements[()]:
+            if ballot is None or ballot.statements[()] >> a & 1:
                 counts[a] += 1
     best = max(counts)
     return counts.index(best)

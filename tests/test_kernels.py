@@ -82,8 +82,7 @@ class TestScan:
         zeros = np.zeros
 
         def counting(shape, dtype):
-            if dtype == np.int32:
-                allocated.append(math.prod(shape))
+            allocated.append((dtype, math.prod(shape)))
             return zeros(shape, dtype)
 
         monkeypatch.setattr(np, "zeros", counting)
@@ -97,8 +96,9 @@ class TestScan:
                 allocated.clear()
                 _scan.eliminate(compiled, order)
                 predicted = _scan.predict_entries(axes, compiled.dom, order)
-                assert sum(allocated) == predicted, (seed, order)
-                assert len(allocated) == profile.m
+                counts = [size for dtype, size in allocated if dtype == compiled.dtype]
+                assert sum(counts) == predicted, (seed, order)
+                assert len(counts) == profile.m
 
     def test_factor_tables_sum_to_every_outcome_cost(self):
         # 20 profiles with scopes up to 3, then 200 with single-premise scopes
@@ -153,9 +153,12 @@ class TestScan:
         assert descending(profile) == expected
 
     def test_count_dtype_widens_at_two_to_the_31_pairs(self):
-        for n_pairs in (0, 1, 128, 32768, 2**31 - 1, 2**31, 2**40):
+        for n_pairs in (0, 1, 128, 32767, 32768, 2**31 - 1, 2**31, 2**40):
             dtype = _scan._count_dtype(n_pairs)
             assert np.iinfo(dtype).max >= n_pairs
+        assert _scan._count_dtype(0) is np.int16
+        assert _scan._count_dtype(32767) is np.int16
+        assert _scan._count_dtype(32768) is np.int32
         assert _scan._count_dtype(2**31 - 1) is np.int32
         assert _scan._count_dtype(2**31) is np.int64
 

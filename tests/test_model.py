@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from cmsvote import (
     validate_profile,
     voter_dissatisfaction,
 )
-from cmsvote.model import Voter
+from cmsvote.model import IssueBallot, Voter, alternatives
 
 from helpers import build_p1, naive_optimum
 
@@ -117,7 +120,7 @@ class TestValidation:
 
     def test_inconsistent_scope(self):
         bad = issue_ballot(1, (0,), {(0,): {0}})
-        bad.statements[(0, 1)] = frozenset({1})  # premise wider than the scope
+        bad.statements[(0, 1)] = 0b10  # premise wider than the scope
         profile = make_profile(
             [("A", ("0", "1")), ("B", ("0", "1"))],
             [("v", [bad])],
@@ -144,6 +147,33 @@ class TestValidation:
         assert "dup-alt-name" in codes
         assert "dup-voter-name" in codes
 
+    @pytest.mark.parametrize(
+        "approved, code",
+        [
+            (0b100, "bad-alternative"),  # bit d of a binary issue
+            (0b111, "bad-alternative"),
+            (-1, "bad-alternative"),
+            (-0b10, "bad-alternative"),
+            (frozenset({0}), "bad-alternative"),
+            (0, "empty-approval"),
+        ],
+    )
+    def test_mask_out_of_domain_or_empty(self, approved, code):
+        for ballot in (
+            IssueBallot(1, (), {(): approved}),
+            IssueBallot(1, (0,), {(0,): 0b01, (1,): approved}),
+        ):
+            profile = make_profile(binary_issues(2), [("v", [ballot])])
+            [violation] = validate_profile(profile)
+            assert (violation.code, violation.voter, violation.issue) == (code, 0, 1)
+
+    def test_masks_in_domain_are_valid(self):
+        profile = make_profile(
+            [("A", ("0", "1", "2")), ("B", ("0", "1"))],
+            [("v", [approve(0, 0b101), issue_ballot(1, (0,), {(2,): 0b10})])],
+        )
+        assert validate_profile(profile) == []
+
     def test_violations_carry_coordinates(self):
         profile = make_profile(
             [("A", ("0", "1")), ("B", ("0", "1"))],
@@ -155,8 +185,58 @@ class TestValidation:
 
 def IssueBallotWithEmpty():
     ballot = issue_ballot(1, (0,), {(0,): {0}})
-    ballot.statements[(1,)] = frozenset()
+    ballot.statements[(1,)] = 0
     return ballot
+
+
+def binary_issues(m):
+    return [(f"i{j}", ("0", "1")) for j in range(m)]
+
+
+class TestMasks:
+    def test_mask_and_index_forms_build_equal_ballots(self):
+        assert issue_ballot(2, (0,), {(1,): 0b101}) == issue_ballot(2, (0,), {(1,): {0, 2}})
+        assert issue_ballot(2, (0,), {(1,): 0b101}).statements == {(1,): 0b101}
+        assert approve(0, 0b110) == approve(0, [2, 1]) == approve(0, (1, 2))
+
+    def test_duplicate_premises_merge_masks_by_or(self):
+        merged = issue_ballot(1, (0,), [((0,), 0b001), ((0,), {2}), ((1,), 0b10)])
+        assert merged.statements == {(0,): 0b101, (1,): 0b10}
+
+    def test_alternatives_lists_set_bits(self):
+        assert alternatives(0) == ()
+        assert alternatives(0b1) == (0,)
+        assert alternatives(0b10110) == (1, 2, 4)
+        assert alternatives(1 << 200) == (200,)
+        with pytest.raises(ValueError):
+            alternatives(-1)
+
+    def test_satisfaction_is_a_bit_test(self):
+        profile = make_profile(
+            [("A", ("0", "1", "2")), ("B", ("0", "1", "2"))],
+            [("v", [issue_ballot(1, (0,), {(0,): 0b101, (2,): 0b010})])],
+        )
+        for outcome in all_outcomes(profile):
+            expected = outcome[1] in {0: {0, 2}, 2: {1}}.get(outcome[0], set())
+            assert is_satisfied(profile, 0, 1, outcome) is expected
+
+
+class TestReadOnlyBallots:
+    def test_voter_keeps_its_own_copy(self):
+        original = {0: approve(0, {1})}
+        voter = Voter("v", original)
+        original[1] = approve(1, {0})
+        assert voter.ballots == {0: approve(0, {1})}
+        assert voter == Voter("v", {0: approve(0, {1})})
+
+    def test_profiles_pickle_and_copy(self):
+        profile = gen_random(6, 5, d_max=3, delta_max=2, statement_density=0.5, seed=3)
+        for clone in (pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile)):
+            assert clone == profile
+            assert all(type(v.ballots) is MappingProxyType for v in clone.voters)
+
+    def test_ballots_are_slotted(self):
+        assert not hasattr(approve(0, {1}), "__dict__")
 
 
 class TestCanonicalization:
@@ -172,7 +252,7 @@ class TestCanonicalization:
         merged = issue_ballot(
             1, (0,), [((0,), {0}), ((0,), {1})]
         )
-        assert merged.statements == {(0,): frozenset({0, 1})}
+        assert merged.statements == {(0,): 0b11}
 
     def test_naive_optimum_matches_manual_p1(self):
         assert naive_optimum(build_p1()) == (1, (0, 0))
@@ -180,11 +260,11 @@ class TestCanonicalization:
     def test_ballot_accessor_materializes_default(self):
         p1 = build_p1()
         ballot = p1.ballot(1, 1)  # v2's explicit approval of B=0
-        assert ballot.statements[()] == frozenset({0})
+        assert ballot.statements[()] == 0b01
         pairs = [(i.name, i.alternatives) for i in p1.issues]
         implicit = make_profile(pairs, [("v", [])]).ballot(0, 0)
         assert implicit.scope == ()
-        assert implicit.statements[()] == frozenset({0, 1})
+        assert implicit.statements[()] == 0b11
 
 
 class TestCachedFacts:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -23,7 +24,7 @@ from cmsvote import (
     total_dissatisfaction,
 )
 from cmsvote.cli import main
-from cmsvote.model import approve, issue_ballot, make_profile
+from cmsvote.model import alternatives, approve, issue_ballot, make_profile
 from cmsvote.textio import FormatWarning
 
 from helpers import P1_DOC, build_p1
@@ -48,7 +49,7 @@ def scrambled_document(profile, rng):
         body = []
         for j, ballot in voter.ballots.items():
             if not ballot.scope:
-                for part in _split(rng, ballot.statements[()]):
+                for part in _split(rng, alternatives(ballot.statements[()])):
                     body.append(f"approve {names[j]} " + " ".join(alts[j][a] for a in part))
                 continue
             if not ballot.statements or rng.random() < 0.3:
@@ -57,7 +58,7 @@ def scrambled_document(profile, rng):
             for premise, approved in ballot.statements.items():
                 pairs = rng.sample(list(zip(ballot.scope, premise)), len(premise))
                 condition = ",".join(f"{names[k]}={alts[k][v]}" for k, v in pairs)
-                for part in _split(rng, approved):
+                for part in _split(rng, alternatives(approved)):
                     body.append(
                         f"cond {names[j]} if {condition} then "
                         + " ".join(alts[j][a] for a in part)
@@ -181,7 +182,7 @@ end
         with pytest.warns(FormatWarning):
             profile = parse_profile(doc)
         ballot = profile.voters[0].ballots[1]
-        assert ballot.statements[(0,)] == frozenset({0, 1})
+        assert ballot.statements[(0,)] == 0b11
 
     def test_merge_warnings_name_their_lines(self):
         doc = """cmsprofile 1
@@ -256,7 +257,7 @@ end
             for j, ballot in voter.ballots.items():
                 assert type(ballot.scope) is tuple
                 assert all(type(p) is tuple for p in ballot.statements)
-                assert all(type(a) is frozenset for a in ballot.statements.values())
+                assert all(type(a) is int for a in ballot.statements.values())
                 assert ballot == issue_ballot(j, ballot.scope, ballot.statements)
 
     def test_shared_approval_sets_survive_a_merge(self):
@@ -281,6 +282,41 @@ end
         assert first == issue_ballot(1, (0,), {(0,): {0, 1}})
         assert second == issue_ballot(1, (0,), {(0,): {0}})
         assert first.statements is not second.statements
+
+    def test_parsed_ballots_are_read_only(self):
+        profile = parse_profile(
+            serialize_profile(gen_random(6, 5, d_max=3, delta_max=2, statement_density=0.5, seed=2))
+        )
+        before = profile.ballots_by_issue
+        voter = next(voter for voter in profile.voters if len(voter.ballots) >= 2)
+        j, ballot = next(iter(voter.ballots.items()))
+        with pytest.raises(TypeError):
+            voter.ballots[j] = approve(j, {0})
+        with pytest.raises(TypeError):
+            del voter.ballots[j]
+        for field in ("issue", "scope", "statements"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ballot, field, getattr(ballot, field))
+        assert voter.ballots[j] is ballot
+        after = type(profile)(profile.issues, profile.voters).ballots_by_issue
+        assert before == after == profile.ballots_by_issue
+
+    def test_parsed_statements_are_untracked_after_a_collection(self):
+        # Masks and premise tuples of ints are atomic, so once collected the
+        # statement dicts and their premise keys leave the cyclic GC's lists.
+        text = serialize_profile(
+            gen_random(30, 20, d_max=3, delta_max=3, statement_density=0.3, seed=5)
+        )
+        profile = parse_profile(text)
+        gc.collect()
+        statements = [
+            ballot.statements for voter in profile.voters for ballot in voter.ballots.values()
+        ]
+        premises = [premise for stmts in statements for premise in stmts]
+        assert len(statements) > 100 and any(premises)
+        assert all(type(a) is int for stmts in statements for a in stmts.values())
+        assert not any(gc.is_tracked(stmts) for stmts in statements)
+        assert not any(gc.is_tracked(premise) for premise in premises)
 
     def test_parses_share_no_statement_dict(self):
         profile = gen_random(8, 30, d_max=3, delta_max=2, statement_density=0.5, seed=4)
