@@ -4,7 +4,7 @@ Voters cast per-issue approval sets that may be conditioned on the outcomes
 of other issues; the winning outcome minimizes the total number of
 (voter, issue) disagreements.  The package provides the ballot model, three
 exact solvers (bucket elimination in descending issue order for components
-whose outcome space fits a budget, a min-cut reduction for group-dichotomous
+whose tables fit a fixed entry limit, a min-cut reduction for group-dichotomous
 binary ballots, and bucket elimination in a nice tree decomposition's forget
 order for single-premise ballots; the two bucket-elimination routes share
 one factor-table compilation of the objective and one kernel), structural

@@ -15,9 +15,9 @@ Table layout and guards:
   of distinct tables (a bucket table, a message), so no such sum exceeds the
   number of pairs.  Cells are int16 below 2^15 pairs, int32 below 2^31 and
   int64 from then on.
-- The factor tables together hold the sum over axis tuples of the product of
-  their domain sizes.  That figure is predicted before anything is allocated
-  and checked against the caller's budget (``BudgetExceeded`` when larger).
+- ``MAX_TABLE_ENTRIES`` bounds the work of both routes: before it allocates
+  any table, ``compile_cost_model`` raises ``BudgetExceeded`` when the factor
+  tables or the bucket tables along the caller's order would hold more.
 
 ``eliminate`` minimizes the sum by bucket elimination (Dechter 1999;
 Bertelè & Brioschi 1972) along an order of the issues.  Each factor goes
@@ -27,9 +27,7 @@ the argmin over its issue (ties to the lowest alternative) and passes the
 minimum to the bucket of the next issue in the rest of its scope.  The
 traceback then sets the issues in reverse order.  The bucket tables'
 entries, the sum over buckets of the product of their scopes' domain sizes,
-follow from the factor axes alone; ``predict_entries`` computes them, and
-both routes check them against ``MAX_TABLE_ENTRIES`` with ``check_entries``
-before any bucket table is allocated.
+follow from the factor axes alone; ``predict_entries`` computes them.
 
 numpy is imported inside the functions that use it, as in the other
 kernels, so that importing the package (and ``cmsvote analyze``) does not
@@ -74,11 +72,12 @@ def _count_dtype(n_pairs: int) -> type:
     return np.int32 if n_pairs < 2**31 else np.int64
 
 
-def compile_cost_model(profile: Profile, budget: int) -> CostModel:
+def compile_cost_model(profile: Profile, order) -> CostModel:
     """Sum the profile's dissatisfaction tables per axis tuple.
 
-    Raises BudgetExceeded, before allocating any table, when the tables would
-    hold more than ``budget`` entries in total.
+    Raises BudgetExceeded, before allocating any table, when the factor
+    tables, or the bucket tables of elimination along ``order`` (a
+    permutation of the issues), would hold more than ``MAX_TABLE_ENTRIES``.
     """
     import numpy as np
 
@@ -94,9 +93,16 @@ def compile_cost_model(profile: Profile, budget: int) -> CostModel:
             n_pairs += 1
 
     entries = sum(math.prod(dom[k] for k in axes) for axes in groups)
-    if entries > budget:
+    if entries > MAX_TABLE_ENTRIES:
         raise BudgetExceeded(
-            f"factor tables need {entries} entries, budget is {budget}"
+            f"factor tables need {entries} table entries, "
+            f"limit is {MAX_TABLE_ENTRIES}"
+        )
+    entries = predict_entries(groups, dom, order)
+    if entries > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"bucket elimination needs at least {entries} table entries, "
+            f"limit is {MAX_TABLE_ENTRIES}"
         )
     dtype = _count_dtype(n_pairs)
 
@@ -125,7 +131,8 @@ def compile_cost_model(profile: Profile, budget: int) -> CostModel:
 def predict_entries(axes, dom, order) -> int:
     """Entries of the bucket tables ``eliminate`` allocates along ``order``
     for factors on the axis tuples ``axes``, found by eliminating the scopes
-    symbolically."""
+    symbolically.  The count stops at the first bucket that takes it past
+    ``MAX_TABLE_ENTRIES``, so a figure above the limit is a lower bound."""
     order = list(order)
     rank = {v: t for t, v in enumerate(order)}
     scopes = [{v} for v in order]
@@ -134,21 +141,12 @@ def predict_entries(axes, dom, order) -> int:
     entries = 0
     for t, v in enumerate(order):
         entries += math.prod(dom[k] for k in scopes[t])
+        if entries > MAX_TABLE_ENTRIES:
+            break
         rest = scopes[t] - {v}
         if rest:
             scopes[min(map(rank.__getitem__, rest))].update(rest)
     return entries
-
-
-def check_entries(axes, dom, order) -> None:
-    """Raise BudgetExceeded when ``predict_entries`` is above
-    ``MAX_TABLE_ENTRIES``."""
-    entries = predict_entries(axes, dom, order)
-    if entries > MAX_TABLE_ENTRIES:
-        raise BudgetExceeded(
-            f"bucket elimination needs {entries} table entries, "
-            f"limit is {MAX_TABLE_ENTRIES}"
-        )
 
 
 def eliminate(model: CostModel, order) -> tuple:
@@ -160,8 +158,7 @@ def eliminate(model: CostModel, order) -> tuple:
     order returns the lexicographically first minimizing outcome.  Each
     argmin table is stored in the smallest unsigned type that holds its
     issue's alternatives.  The bucket tables hold ``predict_entries``
-    entries in total; callers bound that figure with ``check_entries``
-    first.
+    entries in total, which ``compile_cost_model`` bounds for its order.
     """
     import numpy as np
 

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Profile, alternatives, lazy_attribute
+from . import _scan
+from .model import Profile, alternatives, approves_all, lazy_attribute
 
 MAJORITY = "MAJORITY"
 MINCUT = "MINCUT"
@@ -20,9 +21,8 @@ TREEWIDTH = "TREEWIDTH"
 BRUTE = "BRUTE"
 INTRACTABLE = "INTRACTABLE"
 
-# The routing bounds; the routing code below reads them when it runs.
+# Routing reads this bound when it runs; BRUTE's is _scan.MAX_TABLE_ENTRIES.
 WIDTH_THRESHOLD = 8  # largest min-fill width routed to TREEWIDTH
-BRUTE_BUDGET = 10_000_000  # largest outcome space routed to BRUTE
 
 
 # Per-voter vertex covers in reports are computed exactly up to this bound;
@@ -146,8 +146,8 @@ class DichotomyWitness:
 class ComponentReport:
     """One connected component of the global dependency graph and its route.
 
-    ``edges`` (the component's global-graph edges) is the input of the
-    min-fill run, capped at ``WIDTH_THRESHOLD``, behind ``decomposition``.
+    ``edges`` (its global-graph edges) feed the min-fill run, capped at
+    ``WIDTH_THRESHOLD``, behind ``decomposition``; ``profile`` feeds ``brute_fits``.
     """
 
     issues: tuple
@@ -157,6 +157,7 @@ class ComponentReport:
     delta: int
     outcome_space: int
     edges: frozenset = field(repr=False)
+    profile: Profile = field(compare=False, repr=False)
 
     @lazy_attribute
     def decomposition(self) -> Optional[TreeDecomposition]:
@@ -172,6 +173,12 @@ class ComponentReport:
         if not self.edges:
             return 0
         return None if self.decomposition is None else self.decomposition.width
+
+    @lazy_attribute
+    def brute_fits(self) -> bool:
+        """Whether ``solve_brute``'s bucket tables fit ``_scan.MAX_TABLE_ENTRIES``;
+        ``classify`` fills it in where routing reads it, else first read does."""
+        return _brute_fits(self.profile, self.issues, self.outcome_space)
 
 
 @dataclass(frozen=True)
@@ -707,31 +714,26 @@ def make_nice(decomposition: TreeDecomposition) -> NiceTreeDecomposition:
     return NiceTreeDecomposition(chain_to(built[0], ()))
 
 
-def component_outcome_space(profile: Profile, issues) -> int:
-    dom = profile.domain_sizes()
-    return math.prod(dom[j] for j in issues)
-
-
 def classify(profile: Profile) -> AnalysisReport:
     """Recommend a solver route for each connected component of the global graph.
 
     Routing order: isolated issues go to majority counting; all-binary
     group-dichotomous components go to the min-cut solver; components whose
     ballots condition on at most one issue and whose heuristic width is at
-    most ``WIDTH_THRESHOLD`` go to the tree decomposition solver; outcome
-    spaces of at most ``BRUTE_BUDGET`` go to brute force; everything else is
-    flagged intractable.  ``applicable_routes`` is the same rule without the
-    width bound, for a forced method.
+    most ``WIDTH_THRESHOLD`` go to the tree decomposition solver; those whose
+    descending elimination fits ``_scan.MAX_TABLE_ENTRIES`` go to brute
+    force; everything else is flagged intractable.  ``applicable_routes`` is
+    the same rule without the width bound, for a forced method.
 
     Widths come from a width-capped min-fill run, so classification stays
     fast on components whose width is far beyond the threshold; a None width
     means "exceeds WIDTH_THRESHOLD".  Only components whose route depends on
     the width (more than one issue, not MINCUT, delta <= 1) are probed here,
     and each keeps its decomposition in ``ComponentReport.decomposition``,
-    the one the TREEWIDTH solver eliminates along.  The decompositions and
-    widths of MAJORITY and MINCUT components, those of components with
-    larger premise scopes, and the report's per-voter vertex covers are left
-    to their first read, so routing never pays for them.
+    the one the TREEWIDTH solver eliminates along; ``brute_fits`` is kept
+    likewise.  Every other decomposition, width and ``brute_fits``, and the
+    report's per-voter vertex covers, are left to their first read, so
+    routing never pays for them.
     """
     graph = build_global_graph(profile)
     dom = profile.domain_sizes()
@@ -765,7 +767,7 @@ def classify(profile: Profile) -> AnalysisReport:
         gd = all(gd_ok_by_issue[j] for j in issues)
         delta = max(delta_by_issue[j] for j in issues)
         sub_edges = frozenset(e for j in issues for e in edges_by_issue[j])
-        space = component_outcome_space(profile, issues)
+        space = math.prod(dom[j] for j in issues)
         probed = len(issues) > 1 and not (binary and gd) and delta <= 1
         decomposition = _component_decomposition(issues, sub_edges) if probed else None
         if len(issues) == 1:
@@ -774,13 +776,15 @@ def classify(profile: Profile) -> AnalysisReport:
             route = MINCUT
         elif decomposition is not None:
             route = TREEWIDTH
-        elif space <= BRUTE_BUDGET:
+        elif _brute_fits(profile, issues_t, space):
             route = BRUTE
         else:
             route = INTRACTABLE
-        comp = ComponentReport(issues_t, route, binary, gd, delta, space, sub_edges)
+        comp = ComponentReport(issues_t, route, binary, gd, delta, space, sub_edges, profile)
         if probed:
             vars(comp)["decomposition"] = decomposition  # the lazy attribute's slot
+        if route in (BRUTE, INTRACTABLE):
+            vars(comp)["brute_fits"] = route == BRUTE
         comps.append(comp)
 
     return AnalysisReport(
@@ -799,16 +803,34 @@ def applicable_routes(comp: ComponentReport) -> list:
 
     This is the rule of ``classify`` without its width bound: a TREEWIDTH
     solve is exact along any decomposition, and one whose capped min-fill
-    run gave up builds an uncapped one.
+    run gave up builds an uncapped one.  BRUTE applies iff ``brute_fits``.
     """
     routes = []
     if comp.all_binary and comp.group_dichotomous:
         routes.append(MINCUT)
     if comp.delta <= 1:
         routes.append(TREEWIDTH)
-    if comp.outcome_space <= BRUTE_BUDGET:
+    if comp.brute_fits:
         routes.append(BRUTE)
     return routes
+
+
+def _brute_fits(profile: Profile, issues, outcome_space: int) -> bool:
+    """``brute_fits`` of the component on the ascending ``issues``.  With two
+    or more alternatives per issue, descending elimination needs at most
+    twice the outcome space, so only larger spaces are predicted, over the
+    axis tuples the compiler groups on, in full-profile issue ids."""
+    limit = _scan.MAX_TABLE_ENTRIES
+    if 2 * outcome_space <= limit:
+        return True
+    dom = profile.domain_sizes()
+    axes = {
+        tuple(sorted({j, *ballot.scope}))
+        for j in issues
+        for _, ballot in profile.ballots_by_issue[j]
+        if not approves_all(ballot, dom[j])
+    }
+    return _scan.predict_entries(axes, dom, reversed(issues)) <= limit
 
 
 def _component_decomposition(issues, edges):

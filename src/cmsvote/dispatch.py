@@ -4,7 +4,7 @@ The objective is additive over the connected components of the global
 dependency graph, so each component is solved independently (isolated issues
 by counting approvals, the rest by whichever solver the classification
 recommends or the caller forces) and the partial outcomes are concatenated.
-The routing rule and its fixed bounds live in ``analysis`` alone: ``classify``
+The routing rule lives in ``analysis`` alone: ``classify``
 picks each component's route, and ``applicable_routes`` lists the solvers a
 forced method or cross-validation may run.
 TREEWIDTH components are solved along the min-fill decomposition that

@@ -6,7 +6,7 @@ class CmsError(Exception):
 
 
 class BudgetExceeded(CmsError):
-    """A solve would need more outcomes or table entries than its budget allows."""
+    """A solve would need more table entries than ``_scan.MAX_TABLE_ENTRIES``."""
 
 
 class NotGroupDichotomous(CmsError):

@@ -43,7 +43,6 @@ Representation notes:
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -261,10 +260,6 @@ def make_profile(issues, voters) -> Profile:
             kept[b.issue] = b
         voter_tuple.append(Voter(name, kept))
     return Profile(issue_tuple, tuple(voter_tuple))
-
-
-def outcome_space_size(profile: Profile) -> int:
-    return math.prod(profile.domain_sizes())
 
 
 def is_satisfied(profile: Profile, voter: int, issue: int, outcome: Sequence) -> bool:

@@ -8,15 +8,15 @@ which a nice tree decomposition of the global dependency graph forgets its
 vertices.  Along that order every bucket's scope lies within a bag, so the
 tables stay as small as the decomposition's width allows; among minimizers,
 each issue takes the lowest alternative that minimizes its bucket given the
-issues eliminated after it.  The graph's edges are the factors' axis pairs,
-so the bucket tables' entries are predicted and checked against
-``MAX_TABLE_ENTRIES`` before the factor tables are compiled.  ``dispatch``
-passes the decomposition ``classify`` kept for the component.
+issues eliminated after it.  The compiler checks the bucket tables'
+entries along that order against ``_scan.MAX_TABLE_ENTRIES`` before it
+allocates any table.  ``dispatch`` passes the decomposition ``classify``
+kept for the component.
 """
 
 from __future__ import annotations
 
-from ._scan import MAX_TABLE_ENTRIES, check_entries, compile_cost_model, eliminate
+from ._scan import compile_cost_model, eliminate
 from .analysis import (
     TreeDecomposition,
     build_global_graph,
@@ -39,8 +39,8 @@ def solve_treewidth(profile: Profile, decomposition: TreeDecomposition = None) -
     O(m * d^(width+1) * (width+1)).  Raises DeltaTooLarge when a ballot
     conditions on more than one issue, InvalidDecomposition when a given
     ``decomposition`` does not decompose the graph,
-    and BudgetExceeded, before compiling any factor table, when the bucket
-    tables would hold more than ``MAX_TABLE_ENTRIES`` entries in total.
+    and BudgetExceeded, before allocating any table, when the factor or the
+    bucket tables would hold more than ``_scan.MAX_TABLE_ENTRIES`` entries.
     """
     delta = max_in_degree(profile)
     if delta > 1:
@@ -59,8 +59,7 @@ def solve_treewidth(profile: Profile, decomposition: TreeDecomposition = None) -
     nice = make_nice(decomposition)
     order = [node.vertex for node in nice.postorder() if node.kind == "forget"]
 
-    check_entries(graph.edges, profile.domain_sizes(), order)
-    optimum, outcome = eliminate(compile_cost_model(profile, MAX_TABLE_ENTRIES), order)
+    optimum, outcome = eliminate(compile_cost_model(profile, order), order)
     solution = make_solution(profile, outcome, "treewidth")
     if solution.cost != optimum:
         raise InternalMismatch(

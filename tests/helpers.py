@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they are used to check:
 ``naive_optimum`` enumerates outcomes with itertools against the dict-based
-ballot semantics (never touching the scan kernels), satisfiability checks
+ballot semantics (never touching the scan kernels), ``milp_optimum`` solves
+profiles too large to enumerate as a 0/1 integer program, satisfiability checks
 enumerate assignments of the source problems directly, the vertex cover
 oracle tries every subset, the capped-cover reference
 ``naive_vertex_cover_number`` searches the whole graph without the component
@@ -111,6 +112,67 @@ def naive_optimum(profile):
     return best_cost, best_outcome
 
 
+def milp_optimum(profile):
+    """Minimum total dissatisfaction as a 0/1 integer program, for profiles
+    whose outcome space is too large to enumerate.
+
+    One-hot variables per issue and one satisfaction variable per statement,
+    each at most its target's approved values and at most each of its
+    premise values, so at most one statement of a ballot holds; the optimum
+    is the ballot count minus the most satisfiable statements.  scipy's
+    ``milp`` (HiGHS) solves it, imported here so that the package never
+    needs scipy.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    dom = profile.domain_sizes()
+    offset = [0]
+    for d in dom:
+        offset.append(offset[-1] + d)
+    n_x = offset[-1]
+    rows, cols, vals, lower, upper = [], [], [], [], []
+
+    def add_row(entries, lo, hi):
+        for c, v in entries:
+            rows.append(len(lower))
+            cols.append(c)
+            vals.append(v)
+        lower.append(lo)
+        upper.append(hi)
+
+    for j, d in enumerate(dom):
+        add_row([(offset[j] + a, 1.0) for a in range(d)], 1.0, 1.0)
+    n_ballots = n_s = 0
+    for voter in profile.voters:
+        for j, ballot in voter.ballots.items():
+            n_ballots += 1
+            for premise, approved in ballot.statements.items():
+                s = n_x + n_s
+                n_s += 1
+                hits = [(offset[j] + a, -1.0) for a in range(dom[j]) if approved >> a & 1]
+                add_row([(s, 1.0)] + hits, -np.inf, 0.0)
+                for k, v in zip(ballot.scope, premise):
+                    add_row([(s, 1.0), (offset[k] + v, -1.0)], -np.inf, 0.0)
+
+    n_vars = n_x + n_s
+    matrix = coo_matrix((vals, (rows, cols)), shape=(len(lower), n_vars)).tocsr()
+    objective = np.zeros(n_vars)
+    objective[n_x:] = -1.0
+    result = milp(
+        objective,
+        constraints=LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(n_vars),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert result.status == 0, result.message
+    optimum = n_ballots - int(round(-result.fun))
+    outcome = [int(np.argmax(result.x[offset[j] : offset[j + 1]])) for j in range(profile.m)]
+    assert total_dissatisfaction(profile, outcome) == optimum
+    return optimum
+
+
 def naive_restrict_profile(profile, issues):
     """Sub-profile over ``issues`` by scanning every voter's ballot map.
 
@@ -163,7 +225,7 @@ def naive_treewidth_outcome(profile):
     factors, which both branches counted, and the traceback re-minimizes
     each forget node's child table (ties to the lowest alternative index).
     """
-    model = compile_cost_model(profile, budget=10**7)
+    model = compile_cost_model(profile, range(profile.m))
     nice = make_nice(heuristic_tree_decomposition(build_global_graph(profile)))
     dom = profile.domain_sizes()
 

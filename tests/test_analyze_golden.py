@@ -40,7 +40,7 @@ CASES = {
         12, 6, d_max=3, delta_max=3, statement_density=0.2, seed=5
     ),
     "grid3": lambda: gen_grid(3),
-    "sat_intractable": lambda: gen_from_sat(random_cnf(random.Random(0), 24, 72), 12),
+    "sat_intractable": lambda: gen_from_sat(random_cnf(random.Random(0), 30, 120), 15),
 }
 
 

@@ -9,6 +9,7 @@ from cmsvote import (
     solve_brute,
     total_dissatisfaction,
 )
+from cmsvote import _scan
 from cmsvote.model import Voter, approve, make_profile
 
 from helpers import build_p1, naive_optimum
@@ -31,10 +32,11 @@ class TestSolveBrute:
         assert solution.outcome == (0, 0)
         assert solution.cost == 0
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         profile = gen_random(6, 2, d_max=3, delta_max=1, statement_density=0.5, seed=0)
-        with pytest.raises(BudgetExceeded):
-            solve_brute(profile, budget=10)
+        monkeypatch.setattr(_scan, "MAX_TABLE_ENTRIES", 10)
+        with pytest.raises(BudgetExceeded, match="table entries, limit is 10"):
+            solve_brute(profile)
 
     def test_deterministic(self):
         profile = gen_random(5, 4, d_max=3, delta_max=2, statement_density=0.6, seed=9)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from cmsvote import (
     solve_mincut,
     solve_profile,
 )
-from cmsvote.analysis import component_outcome_space
 from cmsvote.cli import main
 from cmsvote.dispatch import (
     METHODS,
@@ -72,13 +72,10 @@ def multi_component_profile():
     return make_profile(issues, voters)
 
 
-def intractable_chain_profile():
-    """One voter conditioning each of 40 binary issues on the two before it."""
-    issues = [(f"i{j}", ("0", "1")) for j in range(40)]
-    ballots = [
-        issue_ballot(j, (j - 2, j - 1), {(0, 1): {1}}) for j in range(2, 40)
-    ]
-    return make_profile(issues, [("v", ballots)])
+def intractable_delta2_profile():
+    """A 54-issue component with premise scopes of two issues, whose
+    descending elimination needs over 1.7e8 table entries."""
+    return gen_random(60, 3, d_max=3, delta_max=2, statement_density=0.3, seed=2)
 
 
 class TestDispatch:
@@ -141,7 +138,7 @@ class TestDispatch:
 
     def test_intractable_instance(self):
         with pytest.raises(Intractable) as err:
-            solve_profile(intractable_chain_profile())
+            solve_profile(intractable_delta2_profile())
         assert err.value.report.components[0].route == "INTRACTABLE"
 
     def test_solve_computes_no_vertex_covers(self, monkeypatch):
@@ -225,7 +222,7 @@ class TestDispatch:
         assert len(calls) == profile.n
         # cross-validation keeps the merged check
         assert solve_profile(profile, SolveConfig(cross_validate=True)) == solution
-        assert len(calls) == 3 * profile.n
+        assert len(calls) == 4 * profile.n
         monkeypatch.undo()
         assert solution == model.make_solution(profile, solution.outcome, "mincut")
 
@@ -376,7 +373,7 @@ class TestBallotIndex:
                 assert [voter.name for voter in sub.voters] == kept
                 if len(kept) < profile.n:
                     dropped_voters = True
-                if sub.m > 1 and component_outcome_space(profile, comp.issues) <= 512:
+                if sub.m > 1 and math.prod(sub.domain_sizes()) <= 512:
                     for outcome in itertools.product(*map(range, sub.domain_sizes())):
                         assert total_dissatisfaction(sub, outcome) == cost_on_issues(
                             profile, comp.issues, outcome
@@ -486,8 +483,8 @@ end
         assert main(["solve", "/nonexistent.profile"]) == 2
 
     def test_solve_intractable_prints_analysis(self, tmp_path, capsys):
-        path = tmp_path / "chain.profile"
-        path.write_text(serialize_profile(intractable_chain_profile()))
+        path = tmp_path / "delta2.profile"
+        path.write_text(serialize_profile(intractable_delta2_profile()))
         assert main(["solve", str(path)]) == 3
         solved = capsys.readouterr()
         assert solved.out == ""
@@ -496,13 +493,24 @@ end
         assert "per-voter vertex cover:" in report
         assert solved.err == report + "error: no applicable solver route\n"
 
+    def test_forced_brute_past_the_entry_limit_prints_analysis(self, tmp_path, capsys):
+        path = tmp_path / "delta2.profile"
+        path.write_text(serialize_profile(intractable_delta2_profile()))
+        assert main(["solve", str(path), "--method", "brute"]) == 3
+        solved = capsys.readouterr()
+        assert solved.out == ""
+        assert main(["analyze", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert "-> INTRACTABLE" in report
+        assert solved.err == report + "error: no applicable solver route\n"
+
     def test_solve_out_of_memory_prints_analysis(self, tmp_path, capsys, monkeypatch):
         def exhausted(profile, config):
             raise MemoryError()
 
         monkeypatch.setattr("cmsvote.cli.solve_profile", exhausted)
-        path = tmp_path / "chain.profile"
-        path.write_text(serialize_profile(intractable_chain_profile()))
+        path = tmp_path / "delta2.profile"
+        path.write_text(serialize_profile(intractable_delta2_profile()))
         assert main(["solve", str(path)]) == 3
         solved = capsys.readouterr()
         assert solved.out == ""

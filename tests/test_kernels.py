@@ -10,15 +10,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cmsvote import BudgetExceeded, gen_random, solve_brute, total_dissatisfaction
+from cmsvote import (
+    BudgetExceeded,
+    classify,
+    gen_from_sat,
+    gen_random,
+    solve_brute,
+    solve_profile,
+    total_dissatisfaction,
+)
 from cmsvote import _flow, _scan
+from cmsvote.analysis import BRUTE, applicable_routes
+from cmsvote.dispatch import restrict_profile
 from cmsvote.mincut import build_network, compile_constraints
 from cmsvote.model import approve, issue_ballot, make_profile
 
 from helpers import (
     child_env,
     exhaustive_min_violations,
+    milp_optimum,
     naive_optimum,
+    random_cnf,
     random_constraints,
     traced_peak,
 )
@@ -26,8 +38,8 @@ from helpers import (
 
 def descending(profile):
     """Bucket elimination in descending issue order, as ``solve_brute`` runs it."""
-    compiled = _scan.compile_cost_model(profile, budget=10**7)
-    return _scan.eliminate(compiled, range(profile.m - 1, -1, -1))
+    order = range(profile.m - 1, -1, -1)
+    return _scan.eliminate(_scan.compile_cost_model(profile, order), order)
 
 
 def binary_issues(m):
@@ -70,7 +82,7 @@ class TestScan:
             profile = random_profile(seed)
             order = list(range(profile.m))
             random.Random(seed).shuffle(order)
-            compiled = _scan.compile_cost_model(profile, budget=10**7)
+            compiled = _scan.compile_cost_model(profile, order)
             cost, outcome = _scan.eliminate(compiled, order)
             assert cost == naive_optimum(profile)[0], (seed, order)
             assert total_dissatisfaction(profile, outcome) == cost, (seed, order)
@@ -88,7 +100,7 @@ class TestScan:
         monkeypatch.setattr(np, "zeros", counting)
         for seed in range(60):
             profile = random_profile(seed)
-            compiled = _scan.compile_cost_model(profile, budget=10**7)
+            compiled = _scan.compile_cost_model(profile, range(profile.m))
             axes = [axes for axes, _ in compiled.factors]
             order = list(range(profile.m))
             for shuffle in range(3):
@@ -111,7 +123,7 @@ class TestScan:
             for seed in range(200)
         ]
         for profile in profiles:
-            compiled = _scan.compile_cost_model(profile, budget=10**7)
+            compiled = _scan.compile_cost_model(profile, range(profile.m))
             assert len({axes for axes, _ in compiled.factors}) == len(compiled.factors)
             for outcome in itertools.product(*map(range, profile.domain_sizes())):
                 cost = sum(
@@ -129,7 +141,7 @@ class TestScan:
                 ("w", [issue_ballot(0, (1, 2), {(0, 1): {0}, (1, 1): {1}})]),
             ],
         )
-        compiled = _scan.compile_cost_model(profile, budget=10**7)
+        compiled = _scan.compile_cost_model(profile, range(profile.m))
         [(axes, table)] = compiled.factors
         assert axes == (0, 1, 2)
         for outcome in itertools.product((0, 1), repeat=3):
@@ -143,7 +155,7 @@ class TestScan:
         profile = make_profile(
             binary_issues(2), [(f"v{i}", [approve(0, {1})]) for i in range(n_pairs)]
         )
-        compiled = _scan.compile_cost_model(profile, budget=10**7)
+        compiled = _scan.compile_cost_model(profile, range(profile.m))
         assert compiled.n_pairs == n_pairs
         [(axes, table)] = compiled.factors
         assert axes == (0,) and table.tolist() == [n_pairs, 0]
@@ -187,18 +199,20 @@ class TestScan:
         profile = make_profile(
             binary_issues(3), [(f"v{t}", [b]) for t, b in enumerate(ballots)]
         )
-        assert solve_brute(profile, budget=26).cost == naive_optimum(profile)[0]
+        monkeypatch.setattr(_scan, "MAX_TABLE_ENTRIES", 26)
+        assert solve_brute(profile).cost == naive_optimum(profile)[0]
 
         def no_tables(*args, **kwargs):
             raise AssertionError("a factor table was allocated")
 
         # the compiler imports numpy inside the function: patch numpy itself
         monkeypatch.setattr(np, "full", no_tables)
-        with pytest.raises(BudgetExceeded, match="need 26 entries"):
-            solve_brute(profile, budget=25)
+        monkeypatch.setattr(_scan, "MAX_TABLE_ENTRIES", 25)
+        with pytest.raises(BudgetExceeded, match="need 26 table entries, limit is 25"):
+            solve_brute(profile)
 
     def test_binary_clique_memory(self):
-        # 2^23 outcomes, just under the default budget, and a best split of
+        # 2^23 outcomes, a sixteenth of MAX_TABLE_ENTRIES, and a best split of
         # 11 + 12 leaves 55 + 66 equal pairs.  Descending elimination
         # allocates 2^24 - 2 table entries, at most 2^23 of them at once.
         profile = binary_clique(23)
@@ -208,16 +222,114 @@ class TestScan:
         assert peak < 100 * 2**20
 
     def test_raised_budget_fails_before_bucket_tables(self):
-        # 2^27 outcomes fit a raised budget, but descending elimination
-        # would need 2^28 - 2 table entries, over MAX_TABLE_ENTRIES.
+        # 2^27 outcomes: descending elimination would need 2^28 - 2 table
+        # entries, over MAX_TABLE_ENTRIES.  The prediction stops at the
+        # second bucket, 2^27 + 2^26 entries in.
         profile = binary_clique(27)
+        assert _scan.MAX_TABLE_ENTRIES == 2**27
 
         def attempt():
-            with pytest.raises(BudgetExceeded, match="268435454 table entries"):
-                solve_brute(profile, budget=2**27)
+            with pytest.raises(
+                BudgetExceeded, match=f"at least {3 * 2**26} table entries, limit is {2**27}"
+            ):
+                solve_brute(profile)
 
         _, peak = traced_peak(attempt)
         assert peak < 10 * 2**20
+
+
+def bucket_limit_raised(profile):
+    """Whether compiling for descending elimination raises the bucket-entries
+    error; the factor tables of the profiles tested here always fit."""
+    try:
+        _scan.compile_cost_model(profile, range(profile.m - 1, -1, -1))
+    except BudgetExceeded as exc:
+        assert str(exc).startswith("bucket elimination needs"), exc
+        return True
+    return False
+
+
+def chain_profile():
+    """One voter conditioning each of 40 binary issues on the two before it:
+    10^12 outcomes, 310 table entries in descending order."""
+    issues = [(f"i{j}", ("0", "1")) for j in range(40)]
+    ballots = [issue_ballot(j, (j - 2, j - 1), {(0, 1): {1}}) for j in range(2, 40)]
+    return make_profile(issues, [("v", ballots)])
+
+
+def limit_profile(seed):
+    """Seeded profiles of 8 to 60 issues, premise scopes up to 3 and up to 4
+    alternatives, whose larger components straddle MAX_TABLE_ENTRIES."""
+    rng = random.Random(seed)
+    return gen_random(
+        rng.randint(8, 60),
+        rng.randint(2, 5),
+        d_max=2 + seed % 3,
+        delta_max=1 + seed // 3 % 3,
+        statement_density=rng.uniform(0.05, 0.3),
+        seed=seed,
+    )
+
+
+class TestEntryLimit:
+    """One work limit for both elimination routes: routing sends a component
+    to BRUTE exactly when its descending elimination fits MAX_TABLE_ENTRIES,
+    checked against the compiler's own guard and, past the outcome spaces
+    that enumeration reaches, against an integer program."""
+
+    def test_routing_agrees_with_the_compiler_guard(self):
+        answers = {True: 0, False: 0}
+        for seed in range(200):
+            profile = limit_profile(seed)
+            for comp in classify(profile).components:
+                fits = BRUTE in applicable_routes(comp)
+                sub = restrict_profile(profile, comp.issues)
+                assert fits != bucket_limit_raised(sub), (seed, comp.issues)
+                if 2 * comp.outcome_space > _scan.MAX_TABLE_ENTRIES:
+                    answers[fits] += 1
+        # both answers occur past the outcome-space shortcut
+        assert answers[True] > 10 and answers[False] > 10, answers
+        # 2^26 outcomes take the shortcut; 2^27 need 2^28 - 2 entries
+        for m, fits in ((26, True), (27, False)):
+            profile = binary_clique(m)
+            (comp,) = classify(profile).components
+            assert comp.route == ("BRUTE" if fits else "INTRACTABLE")
+            assert (BRUTE in applicable_routes(comp)) == fits
+            assert bucket_limit_raised(profile) != fits
+
+    def test_classify_predicts_only_past_the_shortcut(self, monkeypatch):
+        calls = []
+        original = _scan.predict_entries
+
+        def counting(axes, dom, order):
+            order = list(order)
+            calls.append(math.prod(dom[j] for j in order))
+            return original(axes, dom, order)
+
+        monkeypatch.setattr(_scan, "predict_entries", counting)
+        for seed in range(200):
+            classify(limit_profile(seed))
+        assert calls
+        assert all(2 * space > _scan.MAX_TABLE_ENTRIES for space in calls)
+
+    def test_newly_brute_components_match_the_integer_program(self):
+        # Components whose outcome space exceeds 10^7 that now route BRUTE:
+        # the chain, a SAT reduction of 1.68e7 outcomes, and seeded delta-2
+        # and delta-3 components of 1e7 to 6.5e9 outcomes.
+        profiles = [
+            chain_profile(),
+            gen_from_sat(random_cnf(random.Random(0), 24, 72), 12),
+            gen_random(18, 12, d_max=3, delta_max=2, statement_density=0.08, seed=0),
+            gen_random(25, 4, d_max=3, delta_max=2, statement_density=0.1, seed=20),
+            gen_random(18, 12, d_max=3, delta_max=3, statement_density=0.08, seed=1),
+            gen_random(30, 3, d_max=3, delta_max=3, statement_density=0.08, seed=12),
+        ]
+        for index, profile in enumerate(profiles):
+            (comp,) = [c for c in classify(profile).components if len(c.issues) > 1]
+            assert comp.route == "BRUTE" and comp.outcome_space > 10**7, index
+            sub = restrict_profile(profile, comp.issues)
+            assert solve_brute(sub).cost == milp_optimum(sub), index
+            assert solve_profile(profile).cost == milp_optimum(profile), index
 
 
 def run_max_flow(network):

@@ -94,13 +94,13 @@ def mirror_joins(nice):
 
 class TestCostModel:
     def test_p1_tables(self):
-        model = compile_cost_model(build_p1(), budget=10**7)
+        model = compile_cost_model(build_p1(), range(2))
         tables = {axes: table.tolist() for axes, table in model.factors}
         assert tables == {(0,): [1, 1], (1,): [0, 1], (0, 1): [[0, 1], [1, 0]]}
 
     def test_all_unconditional_has_no_edge_tables(self):
         profile = gen_random(4, 3, d_max=3, delta_max=0, statement_density=0.7, seed=2)
-        model = compile_cost_model(profile, budget=10**7)
+        model = compile_cost_model(profile, range(profile.m))
         assert model.factors
         assert all(len(axes) == 1 for axes, _ in model.factors)
 
@@ -112,7 +112,7 @@ class TestCostModel:
                 ("w", [issue_ballot(0, (1,), {(0,): {0}, (1,): {1}})]),
             ],
         )
-        model = compile_cost_model(profile, budget=10**7)
+        model = compile_cost_model(profile, range(profile.m))
         [(axes, table)] = model.factors
         assert axes == (0, 1)
         assert table.tolist() == [[0, 2], [2, 0]]
@@ -124,7 +124,7 @@ class TestCostModel:
             [("A", ("0", "1")), ("B", ("0", "1")), ("C", ("0", "1"))],
             [("v", [issue_ballot(2, (0, 1), {(0, 0): {0}})])],
         )
-        [(axes, table)] = compile_cost_model(profile, budget=10**7).factors
+        [(axes, table)] = compile_cost_model(profile, range(profile.m)).factors
         assert axes == (0, 1, 2) and table.shape == (2, 2, 2)
         with pytest.raises(DeltaTooLarge):
             solve_treewidth(profile)
@@ -229,7 +229,7 @@ class TestOutcomeIdentity:
             joins += sum(node.kind == "join" for node in nice.postorder())
             orders = [forget_order(nice), forget_order(mirror_joins(nice))]
             reordered += orders[0] != orders[1]
-            model = compile_cost_model(profile, budget=10**7)
+            model = compile_cost_model(profile, orders[0])
             results = [eliminate(model, order) for order in orders]
             assert results[0] == results[1], seed
             assert results[0][1] == solve_treewidth(profile).outcome, seed
