@@ -32,7 +32,6 @@ from .dispatch import SolveConfig, solve_profile
 from .errors import (
     BudgetExceeded,
     CmsError,
-    DeltaTooLarge,
     InternalMismatch,
     Intractable,
     InvalidDecomposition,
@@ -89,7 +88,6 @@ __all__ = [
     "ColoredGraph",
     "CostModel",
     "CspInstance",
-    "DeltaTooLarge",
     "InternalMismatch",
     "Intractable",
     "InvalidDecomposition",

@@ -15,9 +15,9 @@ Table layout and guards:
   of distinct tables (a bucket table, a message), so no such sum exceeds the
   number of pairs.  Cells are int16 below 2^15 pairs, int32 below 2^31 and
   int64 from then on.
-- ``MAX_TABLE_ENTRIES`` bounds the work of both routes: before it allocates
-  any table, ``compile_cost_model`` raises ``BudgetExceeded`` when the factor
-  tables or the bucket tables along the caller's order would hold more.
+- ``MAX_TABLE_ENTRIES`` bounds the work of both routes.  ``check_entries``
+  raises ``BudgetExceeded`` when the factor tables or the bucket tables
+  along an order would hold more; the compiler and routing both ask it.
 
 ``eliminate`` minimizes the sum by bucket elimination (Dechter 1999;
 Bertelè & Brioschi 1972) along an order of the issues.  Each factor goes
@@ -75,35 +75,17 @@ def _count_dtype(n_pairs: int) -> type:
 def compile_cost_model(profile: Profile, order) -> CostModel:
     """Sum the profile's dissatisfaction tables per axis tuple.
 
-    Raises BudgetExceeded, before allocating any table, when the factor
-    tables, or the bucket tables of elimination along ``order`` (a
-    permutation of the issues), would hold more than ``MAX_TABLE_ENTRIES``.
+    Raises BudgetExceeded (``check_entries``) before allocating any table
+    when the factor tables, or the bucket tables of elimination along
+    ``order`` (a permutation of the issues), would exceed the limit.
     """
     import numpy as np
 
     dom = profile.domain_sizes()
-    groups = {}
-    n_pairs = 0
-    for voter in profile.voters:
-        for j, ballot in voter.ballots.items():
-            if approves_all(ballot, dom[j]):
-                continue  # approve-all cannot be dissatisfied
-            axes = tuple(sorted({j, *ballot.scope}))
-            groups.setdefault(axes, []).append((j, ballot))
-            n_pairs += 1
-
-    entries = sum(math.prod(dom[k] for k in axes) for axes in groups)
-    if entries > MAX_TABLE_ENTRIES:
-        raise BudgetExceeded(
-            f"factor tables need {entries} table entries, "
-            f"limit is {MAX_TABLE_ENTRIES}"
-        )
-    entries = predict_entries(groups, dom, order)
-    if entries > MAX_TABLE_ENTRIES:
-        raise BudgetExceeded(
-            f"bucket elimination needs at least {entries} table entries, "
-            f"limit is {MAX_TABLE_ENTRIES}"
-        )
+    pairs = ((j, b) for voter in profile.voters for j, b in voter.ballots.items())
+    groups = group_by_axes(pairs, dom)
+    check_entries(groups, dom, order)
+    n_pairs = sum(map(len, groups.values()))
     dtype = _count_dtype(n_pairs)
 
     factors = []
@@ -126,6 +108,35 @@ def compile_cost_model(profile: Profile, order) -> CostModel:
         factors.append((axes, table))
 
     return CostModel(dom=dom, n_pairs=n_pairs, factors=tuple(factors))
+
+
+def group_by_axes(pairs, dom) -> dict:
+    """The (issue, ballot) pairs grouped by their factor axes, the sorted
+    ``scope ∪ {issue}``; approve-all ballots, never dissatisfied, are left
+    out."""
+    groups = {}
+    for j, ballot in pairs:
+        if not approves_all(ballot, dom[j]):
+            groups.setdefault(tuple(sorted({j, *ballot.scope})), []).append((j, ballot))
+    return groups
+
+
+def check_entries(axes, dom, order) -> None:
+    """Raise BudgetExceeded when the factor tables on the axis tuples
+    ``axes``, or the bucket tables of elimination along ``order``, would
+    hold more than ``MAX_TABLE_ENTRIES`` entries."""
+    entries = sum(math.prod(dom[k] for k in factor_axes) for factor_axes in axes)
+    if entries > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"factor tables need {entries} table entries, "
+            f"limit is {MAX_TABLE_ENTRIES}"
+        )
+    entries = predict_entries(axes, dom, order)
+    if entries > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(
+            f"bucket elimination needs at least {entries} table entries, "
+            f"limit is {MAX_TABLE_ENTRIES}"
+        )
 
 
 def predict_entries(axes, dom, order) -> int:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _scan
-from .model import Profile, alternatives, approves_all, lazy_attribute
+from .errors import BudgetExceeded
+from .model import Profile, alternatives, lazy_attribute
 
 MAJORITY = "MAJORITY"
 MINCUT = "MINCUT"
@@ -176,7 +177,7 @@ class ComponentReport:
 
     @lazy_attribute
     def brute_fits(self) -> bool:
-        """Whether ``solve_brute``'s bucket tables fit ``_scan.MAX_TABLE_ENTRIES``;
+        """Whether ``solve_brute`` compiles, by ``_scan.check_entries``;
         ``classify`` fills it in where routing reads it, else first read does."""
         return _brute_fits(self.profile, self.issues, self.outcome_space)
 
@@ -721,9 +722,9 @@ def classify(profile: Profile) -> AnalysisReport:
     group-dichotomous components go to the min-cut solver; components whose
     ballots condition on at most one issue and whose heuristic width is at
     most ``WIDTH_THRESHOLD`` go to the tree decomposition solver; those whose
-    descending elimination fits ``_scan.MAX_TABLE_ENTRIES`` go to brute
-    force; everything else is flagged intractable.  ``applicable_routes`` is
-    the same rule without the width bound, for a forced method.
+    descending elimination passes the compiler's ``_scan.check_entries`` go
+    to brute force; everything else is flagged intractable.
+    ``applicable_routes`` is the same rule without the width bound.
 
     Widths come from a width-capped min-fill run, so classification stays
     fast on components whose width is far beyond the threshold; a None width
@@ -803,7 +804,8 @@ def applicable_routes(comp: ComponentReport) -> list:
 
     This is the rule of ``classify`` without its width bound: a TREEWIDTH
     solve is exact along any decomposition, and one whose capped min-fill
-    run gave up builds an uncapped one.  BRUTE applies iff ``brute_fits``.
+    run gave up builds an uncapped one.  Only at delta <= 1 does the global
+    graph's width bound its tables.  BRUTE applies iff ``brute_fits``.
     """
     routes = []
     if comp.all_binary and comp.group_dichotomous:
@@ -816,21 +818,21 @@ def applicable_routes(comp: ComponentReport) -> list:
 
 
 def _brute_fits(profile: Profile, issues, outcome_space: int) -> bool:
-    """``brute_fits`` of the component on the ascending ``issues``.  With two
-    or more alternatives per issue, descending elimination needs at most
-    twice the outcome space, so only larger spaces are predicted, over the
-    axis tuples the compiler groups on, in full-profile issue ids."""
-    limit = _scan.MAX_TABLE_ENTRIES
-    if 2 * outcome_space <= limit:
+    """``brute_fits`` of the component on the ascending ``issues``.  Each
+    ballot makes at most one factor table of at most ``outcome_space``
+    entries, and descending buckets hold at most twice that many, so only a
+    component past ``max(2, ballots) * outcome_space`` asks the compiler."""
+    by_issue = profile.ballots_by_issue
+    ballots = sum(len(by_issue[j]) for j in issues)
+    if max(2, ballots) * outcome_space <= _scan.MAX_TABLE_ENTRIES:
         return True
     dom = profile.domain_sizes()
-    axes = {
-        tuple(sorted({j, *ballot.scope}))
-        for j in issues
-        for _, ballot in profile.ballots_by_issue[j]
-        if not approves_all(ballot, dom[j])
-    }
-    return _scan.predict_entries(axes, dom, reversed(issues)) <= limit
+    pairs = ((j, ballot) for j in issues for _, ballot in by_issue[j])
+    try:
+        _scan.check_entries(_scan.group_by_axes(pairs, dom), dom, reversed(issues))
+    except BudgetExceeded:
+        return False
+    return True
 
 
 def _component_decomposition(issues, edges):

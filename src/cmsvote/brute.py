@@ -1,7 +1,7 @@
 """Optimal solver by the bucket-elimination kernel ``_scan.eliminate`` in
 descending issue order, which returns the lexicographically first minimizing
-outcome; routing sends it the components whose tables fit
-``_scan.MAX_TABLE_ENTRIES``.  The simple oracle the tests check every solver
+outcome; routing sends it the components whose tables pass
+``_scan.check_entries``.  The simple oracle the tests check every solver
 against is ``tests/helpers.naive_optimum``, which enumerates outcomes.
 """
 
@@ -15,9 +15,8 @@ from .model import Profile, Solution, make_solution
 def solve_brute(profile: Profile) -> Solution:
     """Minimize total dissatisfaction; among minimizers the lexicographically
     smallest assignment vector wins.  Raises BudgetExceeded, before
-    allocating any table, when the tables would hold more than
-    ``_scan.MAX_TABLE_ENTRIES`` entries; with two or more alternatives per
-    issue the bucket tables hold at most twice the outcome space.
+    allocating any table, when the factor or the bucket tables would hold
+    more than ``_scan.MAX_TABLE_ENTRIES`` entries.
     """
     order = range(profile.m - 1, -1, -1)
     cost, outcome = _scan.eliminate(_scan.compile_cost_model(profile, order), order)

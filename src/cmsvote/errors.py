@@ -6,7 +6,7 @@ class CmsError(Exception):
 
 
 class BudgetExceeded(CmsError):
-    """A solve would need more table entries than ``_scan.MAX_TABLE_ENTRIES``."""
+    """Factor or bucket tables would exceed ``_scan.MAX_TABLE_ENTRIES``."""
 
 
 class NotGroupDichotomous(CmsError):
@@ -18,10 +18,6 @@ class NotGroupDichotomous(CmsError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"not group-dichotomous: {witness}")
-
-
-class DeltaTooLarge(CmsError):
-    """A solver requiring premise scopes of size at most one saw a larger scope."""
 
 
 class InvalidDecomposition(CmsError):

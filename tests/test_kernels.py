@@ -12,6 +12,7 @@ import pytest
 
 from cmsvote import (
     BudgetExceeded,
+    Intractable,
     classify,
     gen_from_sat,
     gen_random,
@@ -21,9 +22,11 @@ from cmsvote import (
 )
 from cmsvote import _flow, _scan
 from cmsvote.analysis import BRUTE, applicable_routes
+from cmsvote.cli import main
 from cmsvote.dispatch import restrict_profile
 from cmsvote.mincut import build_network, compile_constraints
 from cmsvote.model import approve, issue_ballot, make_profile
+from cmsvote.textio import serialize_profile
 
 from helpers import (
     child_env,
@@ -238,13 +241,13 @@ class TestScan:
         assert peak < 10 * 2**20
 
 
-def bucket_limit_raised(profile):
-    """Whether compiling for descending elimination raises the bucket-entries
-    error; the factor tables of the profiles tested here always fit."""
+def compiler_guard_raised(profile):
+    """Whether compiling for descending elimination raises BudgetExceeded,
+    for its factor tables or for its bucket tables."""
     try:
         _scan.compile_cost_model(profile, range(profile.m - 1, -1, -1))
     except BudgetExceeded as exc:
-        assert str(exc).startswith("bucket elimination needs"), exc
+        assert str(exc).startswith(("factor tables need", "bucket elimination needs")), exc
         return True
     return False
 
@@ -255,6 +258,21 @@ def chain_profile():
     issues = [(f"i{j}", ("0", "1")) for j in range(40)]
     ballots = [issue_ballot(j, (j - 2, j - 1), {(0, 1): {1}}) for j in range(2, 40)]
     return make_profile(issues, [("v", ballots)])
+
+
+def factor_overflow_profile():
+    """26 binary issues and 70 voters, each with one ballot on a random issue
+    conditioned on 20 random others: 2^26 outcomes, so descending buckets
+    fit, but 70 factor tables of 2^21 entries each do not."""
+    rng = random.Random(0)
+    voters = []
+    for i in range(70):
+        target = rng.randrange(26)
+        scope = rng.sample([k for k in range(26) if k != target], 20)
+        premise = tuple(rng.randrange(2) for _ in scope)
+        ballot = issue_ballot(target, scope, {premise: {rng.randrange(2)}})
+        voters.append((f"v{i}", [ballot]))
+    return make_profile(binary_issues(26), voters)
 
 
 def limit_profile(seed):
@@ -284,33 +302,62 @@ class TestEntryLimit:
             for comp in classify(profile).components:
                 fits = BRUTE in applicable_routes(comp)
                 sub = restrict_profile(profile, comp.issues)
-                assert fits != bucket_limit_raised(sub), (seed, comp.issues)
+                assert fits != compiler_guard_raised(sub), (seed, comp.issues)
                 if 2 * comp.outcome_space > _scan.MAX_TABLE_ENTRIES:
                     answers[fits] += 1
-        # both answers occur past the outcome-space shortcut
+        # both answers occur for outcome spaces past 2^26
         assert answers[True] > 10 and answers[False] > 10, answers
-        # 2^26 outcomes take the shortcut; 2^27 need 2^28 - 2 entries
-        for m, fits in ((26, True), (27, False)):
-            profile = binary_clique(m)
+        # Descending buckets need 2^27 - 2 entries for 2^26 outcomes and
+        # 2^28 - 2 for 2^27.  The third profile has 2^26 outcomes, but its
+        # 70 factor tables of 2^21 entries each do not fit.
+        cases = ((binary_clique(26), True), (binary_clique(27), False),
+                 (factor_overflow_profile(), False))
+        for profile, fits in cases:
             (comp,) = classify(profile).components
             assert comp.route == ("BRUTE" if fits else "INTRACTABLE")
             assert (BRUTE in applicable_routes(comp)) == fits
-            assert bucket_limit_raised(profile) != fits
+            assert compiler_guard_raised(profile) != fits
 
     def test_classify_predicts_only_past_the_shortcut(self, monkeypatch):
+        # At most one factor table per ballot, each of at most the outcome
+        # space, and descending buckets of at most twice the outcome space:
+        # a component under max(2, ballots) * space fits without predicting.
         calls = []
         original = _scan.predict_entries
 
         def counting(axes, dom, order):
             order = list(order)
-            calls.append(math.prod(dom[j] for j in order))
+            ballots = sum(len(profile.ballots_by_issue[j]) for j in order)
+            calls.append(max(2, ballots) * math.prod(dom[j] for j in order))
             return original(axes, dom, order)
 
         monkeypatch.setattr(_scan, "predict_entries", counting)
         for seed in range(200):
-            classify(limit_profile(seed))
+            profile = limit_profile(seed)
+            classify(profile)
         assert calls
-        assert all(2 * space > _scan.MAX_TABLE_ENTRIES for space in calls)
+        assert all(bound > _scan.MAX_TABLE_ENTRIES for bound in calls)
+
+    def test_factor_tables_past_the_limit_are_intractable(self, tmp_path, capsys, monkeypatch):
+        profile = factor_overflow_profile()
+        (comp,) = classify(profile).components
+        assert comp.route == "INTRACTABLE" and BRUTE not in applicable_routes(comp)
+
+        path = tmp_path / "factors.profile"
+        path.write_text(serialize_profile(profile))
+        assert main(["solve", str(path)]) == 3
+        solved = capsys.readouterr()
+        assert solved.out == ""
+        assert "-> INTRACTABLE" in solved.err
+        assert solved.err.endswith("error: no applicable solver route\n")
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        monkeypatch.setattr(np, "full", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(Intractable):
+            solve_profile(profile)
 
     def test_newly_brute_components_match_the_integer_program(self):
         # Components whose outcome space exceeds 10^7 that now route BRUTE:

@@ -7,7 +7,6 @@ import pytest
 
 from cmsvote import (
     BudgetExceeded,
-    DeltaTooLarge,
     InvalidDecomposition,
     compile_cost_model,
     gen_grid,
@@ -18,6 +17,7 @@ from cmsvote import (
     solve_treewidth,
     total_dissatisfaction,
 )
+from cmsvote import _scan
 from cmsvote._scan import eliminate
 from cmsvote.analysis import (
     NiceNode,
@@ -33,6 +33,7 @@ from cmsvote.textio import serialize_profile
 from helpers import (
     build_p1,
     coarsen_decomposition,
+    naive_optimum,
     naive_treewidth_outcome,
     traced_peak,
 )
@@ -117,16 +118,35 @@ class TestCostModel:
         assert axes == (0, 1)
         assert table.tolist() == [[0, 2], [2, 0]]
 
-    def test_rejects_wide_scopes(self):
-        # The compiler takes factors of any arity; the tree-decomposition
-        # route does not.
+    def test_rejects_wide_scopes(self, monkeypatch):
+        # The compiler takes factors of any arity, and so does the tree
+        # solver: elimination is exact along any forget order, and only the
+        # entry limit rejects a scope, before any table is allocated.
         profile = make_profile(
             [("A", ("0", "1")), ("B", ("0", "1")), ("C", ("0", "1"))],
             [("v", [issue_ballot(2, (0, 1), {(0, 0): {0}})])],
         )
         [(axes, table)] = compile_cost_model(profile, range(profile.m)).factors
         assert axes == (0, 1, 2) and table.shape == (2, 2, 2)
-        with pytest.raises(DeltaTooLarge):
+        rng = random.Random(0)
+        for seed in range(300):
+            wide = gen_random(
+                7, 4, d_max=3, delta_max=2 + seed % 2, statement_density=0.4, seed=seed
+            )
+            cost, _ = naive_optimum(wide)
+            decomposition = coarsen_decomposition(
+                rng, heuristic_tree_decomposition(build_global_graph(wide)), 2
+            )
+            assert solve_treewidth(wide).cost == cost, seed
+            assert solve_treewidth(wide, decomposition).cost == cost, seed
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        monkeypatch.setattr(_scan, "MAX_TABLE_ENTRIES", 7)
+        monkeypatch.setattr(np, "full", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(BudgetExceeded, match="factor tables need 8 table entries"):
             solve_treewidth(profile)
 
 
