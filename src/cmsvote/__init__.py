@@ -18,12 +18,10 @@ from .analysis import (
     NiceTreeDecomposition,
     TreeDecomposition,
     build_global_graph,
-    build_voter_graph,
     classify,
     heuristic_tree_decomposition,
     is_group_dichotomous,
     make_nice,
-    max_in_degree,
     verify_decomposition,
     vertex_cover_number,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "approve",
     "build_global_graph",
     "build_network",
-    "build_voter_graph",
     "classify",
     "compile_constraints",
     "compile_cost_model",
@@ -119,7 +116,6 @@ __all__ = [
     "make_nice",
     "make_profile",
     "max_flow_min_cut",
-    "max_in_degree",
     "parse_colored_graph",
     "parse_csp",
     "parse_dimacs",

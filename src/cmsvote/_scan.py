@@ -185,17 +185,17 @@ def eliminate(model: CostModel, order) -> tuple:
     choices = []
     for t, v in enumerate(order):
         # The table's first axis is v and the rest follow in ascending order,
-        # so each alternative of v owns one contiguous slab.  A part whose
-        # axes include v gets v's axis moved to the front; then a reshape
-        # that gives the part's axes their sizes and every other scope axis
-        # size 1 broadcasts it over the table.
+        # so each alternative of v owns one contiguous slab.  Every part's
+        # axes include v, since a factor or message joins the bucket of its
+        # first-eliminated issue.  Its v axis moves to the front; then a
+        # reshape that gives the part's axes their sizes and every other
+        # scope axis size 1 broadcasts it over the table.
         rest = tuple(sorted(set().union(*(axes for axes, _ in buckets[t])) - {v}))
         scope = (v, *rest)
         table = np.zeros([dom[k] for k in scope], dtype=model.dtype)
         for axes, part in buckets[t]:
-            if v in axes:
-                i = axes.index(v)
-                part = part.transpose(i, *range(i), *range(i + 1, part.ndim))
+            i = axes.index(v)
+            part = part.transpose(i, *range(i), *range(i + 1, part.ndim))
             shape = [dom[k] if k in axes else 1 for k in scope]
             np.add(table, part.reshape(shape), out=table)
         buckets[t] = None

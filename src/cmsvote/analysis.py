@@ -32,14 +32,6 @@ VC_REPORT_CAP = 12
 
 
 @dataclass(frozen=True)
-class DirectedGraph:
-    """A voter's dependency graph: edge (k, j) when issue j is conditioned on k."""
-
-    n: int
-    edges: frozenset
-
-
-@dataclass(frozen=True)
 class UndirectedGraph:
     """Simple undirected graph over issue ids; edges are (min, max) pairs."""
 
@@ -105,10 +97,6 @@ class NiceNode:
 class NiceTreeDecomposition:
     root: NiceNode
 
-    @property
-    def width(self) -> int:
-        return max(len(node.bag) for node in self.postorder()) - 1
-
     def postorder(self) -> list:
         """Children-before-parent node order, computed without recursion."""
         order = []
@@ -119,17 +107,6 @@ class NiceTreeDecomposition:
             stack.extend(node.children)
         order.reverse()
         return order
-
-    def to_decomposition(self) -> TreeDecomposition:
-        nodes = self.postorder()
-        index = {id(node): i for i, node in enumerate(nodes)}
-        bags = tuple(frozenset(node.bag) for node in nodes)
-        edges = tuple(
-            (index[id(node)], index[id(child)])
-            for node in nodes
-            for child in node.children
-        )
-        return TreeDecomposition(bags, edges)
 
 
 @dataclass(frozen=True)
@@ -277,16 +254,6 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def build_voter_graph(profile: Profile, voter: int) -> DirectedGraph:
-    """Directed dependency graph read off one voter's premise scopes."""
-    edges = frozenset(
-        (k, ballot.issue)
-        for ballot in profile.voters[voter].ballots.values()
-        for k in ballot.scope
-    )
-    return DirectedGraph(profile.m, edges)
-
-
 def build_global_graph(profile: Profile) -> UndirectedGraph:
     """Undirected union of all voter graphs, directions and multiplicities dropped."""
     edges = set()
@@ -295,16 +262,6 @@ def build_global_graph(profile: Profile) -> UndirectedGraph:
             for k in ballot.scope:
                 edges.add((min(k, ballot.issue), max(k, ballot.issue)))
     return UndirectedGraph(profile.m, frozenset(edges))
-
-
-def max_in_degree(profile: Profile) -> int:
-    """Largest premise scope over all voters."""
-    best = 0
-    for voter in profile.voters:
-        for ballot in voter.ballots.values():
-            if len(ballot.scope) > best:
-                best = len(ballot.scope)
-    return best
 
 
 def is_group_dichotomous(profile: Profile):

@@ -14,7 +14,9 @@ per-component sum; any disagreement aborts.
 
 Splitting and majority counting read the profile's per-issue ballot index
 (``Profile.ballots_by_issue``), so they walk only the ballots on a
-component's own issues instead of every voter's ballot map.  A component's
+component's own issues instead of every voter's ballot map.  Majority
+counting walks an isolated issue's ballots once and returns the winning
+alternative together with its cost.  A component's
 sub-profile keeps only the voters with a ballot on it, so building it and
 re-verifying the component's solution cost O(its ballots), not O(n); the
 sub-solution's ``per_voter`` lists those voters only.  The dispatcher reads
@@ -99,21 +101,25 @@ def restrict_profile(profile: Profile, issues) -> Profile:
     )
 
 
-def majority_alternative(profile: Profile, issue: int) -> int:
-    """Most-approved alternative of an isolated issue, ties to the lowest index.
+def majority_alternative(profile: Profile, issue: int) -> tuple:
+    """(alternative, cost) for an isolated issue: its most-approved
+    alternative, ties to the lowest index, and the number of ballots on the
+    issue that do not approve it.
 
     Isolated issues only ever carry unconditional ballots, so counting
     approvals minimizes the issue's dissatisfaction contribution exactly.
     Voters without a ballot on the issue approve every alternative alike, so
-    only the explicit ballots can move the maximum.
+    they cannot move the maximum and add no cost.
     """
     d = len(profile.issues[issue].alternatives)
+    ballots = profile.ballots_by_issue[issue]
     counts = [0] * d
-    for _, ballot in profile.ballots_by_issue[issue]:
+    for _, ballot in ballots:
         approved = ballot.statements[()]
         for a in range(d):
             counts[a] += approved >> a & 1
-    return max(range(d), key=lambda a: (counts[a], -a))
+    alt = max(range(d), key=lambda a: (counts[a], -a))
+    return alt, len(ballots) - counts[alt]
 
 
 def _solve(route: str, comp, sub: Profile) -> Solution:
@@ -153,13 +159,7 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
         sub = None
         if route == MAJORITY:
             (issue,) = comp.issues
-            alt = majority_alternative(profile, issue)
-            assignment[issue] = alt
-            cost = sum(
-                1
-                for _, ballot in profile.ballots_by_issue[issue]
-                if not ballot.statements[()] >> alt & 1
-            )
+            assignment[issue], cost = majority_alternative(profile, issue)
         else:
             sub = restrict_profile(profile, comp.issues)
             solution = _solve(route, comp, sub)

@@ -99,12 +99,8 @@ class CspInstance:
                     raise ValueError("allowed pair out of alphabet")
 
     def variables(self) -> tuple:
-        seen = []
-        for u, v, _ in self.constraints:
-            for name in (u, v):
-                if name not in seen:
-                    seen.append(name)
-        return tuple(seen)
+        # A dict keeps its first-insertion order and tests membership in O(1).
+        return tuple(dict.fromkeys(x for u, v, _ in self.constraints for x in (u, v)))
 
 
 def _bounded_count(rng, mean, cap):

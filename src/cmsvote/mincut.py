@@ -44,6 +44,7 @@ class TwoMonotoneConstraint(NamedTuple):
 class FlowNetwork:
     """Min-cut gadget network; variable ``v`` lives at node ``var_base + v``.
 
+    Nodes are ``0 .. n_nodes - 1``, among them ``source`` and ``sink``.
     ``out[u]`` lists the ids of the arcs leaving node ``u``; arc ``e`` runs
     to ``to[e]`` with capacity ``cap[e]``, and its reverse is arc ``e ^ 1``,
     which starts with capacity 0.  These are the lists ``_flow.max_flow``
@@ -56,9 +57,7 @@ class FlowNetwork:
     out: list
     to: list
     cap: list
-    inf: int
     var_base: int
-    n_vars: int
 
 
 def compile_constraints(profile: Profile):
@@ -190,9 +189,7 @@ def build_network(constraints, n_vars: int) -> FlowNetwork:
         out=out,
         to=to,
         cap=cap,
-        inf=inf,
         var_base=var_base,
-        n_vars=n_vars,
     )
 
 

@@ -156,14 +156,6 @@ class Profile:
                     index[j].append((i, ballot))
         return tuple(map(tuple, index))
 
-    def ballot(self, voter: int, issue: int) -> IssueBallot:
-        """The voter's ballot for the issue, materializing the approve-all default."""
-        found = self.voters[voter].ballots.get(issue)
-        if found is not None:
-            return found
-        full = (1 << len(self.issues[issue].alternatives)) - 1
-        return IssueBallot(issue, (), {(): full})
-
 
 @dataclass(frozen=True)
 class Solution:

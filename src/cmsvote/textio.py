@@ -509,6 +509,7 @@ def parse_csp(text: str) -> CspInstance:
             if len(set(tokens[1:])) != len(tokens[1:]):
                 raise ParseError(ln, "alphabet symbols repeat")
             alphabet = tuple(tokens[1:])
+            index = {sym: i for i, sym in enumerate(alphabet)}
         elif tokens[0] == "constraint":
             if alphabet is None:
                 raise ParseError(ln, "constraint before the alphabet line")
@@ -517,7 +518,6 @@ def parse_csp(text: str) -> CspInstance:
             u, v = tokens[1], tokens[2]
             if u == v:
                 raise ParseError(ln, "constraints need two distinct variables")
-            index = {sym: i for i, sym in enumerate(alphabet)}
             allowed = []
             for token in tokens[3:]:
                 if token.count(":") != 1:

@@ -13,7 +13,10 @@ tree-decomposition reference keeps every full DP table for its traceback,
 the min-fill reference ``naive_min_fill`` rescans the neighbour pairs of
 every vertex within two hops of each eliminated one, and ``violated``
 states the two-monotone constraint semantics that the min-cut gadget is
-checked against.
+checked against.  ``premise_edges``, ``largest_premise_scope`` and
+``plain_decomposition`` read a voter's dependency edges, the profile's delta
+and a nice decomposition's bags straight off the data, for tests that need
+them as references.
 """
 
 from __future__ import annotations
@@ -274,8 +277,9 @@ def naive_treewidth_outcome(profile):
 
 
 def naive_majority_alternative(profile, issue):
-    """Most-approved alternative of an issue with unconditional ballots only,
-    ties to the lowest index; a missing ballot approves everything."""
+    """(alternative, cost) of an issue with unconditional ballots only: the
+    most-approved alternative, ties to the lowest index, and the number of
+    voters who do not approve it; a missing ballot approves everything."""
     d = len(profile.issues[issue].alternatives)
     counts = [0] * d
     for voter in profile.voters:
@@ -284,7 +288,25 @@ def naive_majority_alternative(profile, issue):
             if ballot is None or ballot.statements[()] >> a & 1:
                 counts[a] += 1
     best = max(counts)
-    return counts.index(best)
+    return counts.index(best), profile.n - best
+
+
+def premise_edges(profile, voter):
+    """A voter's dependency edges: (k, j) when issue k is in the premise
+    scope of the voter's ballot on issue j."""
+    return frozenset(
+        (k, ballot.issue)
+        for ballot in profile.voters[voter].ballots.values()
+        for k in ballot.scope
+    )
+
+
+def largest_premise_scope(profile):
+    """The profile's delta: the largest premise scope of any ballot."""
+    return max(
+        (len(b.scope) for voter in profile.voters for b in voter.ballots.values()),
+        default=0,
+    )
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int, width: int = 3):
@@ -382,6 +404,21 @@ def exhaustive_vertex_cover(graph: UndirectedGraph) -> int:
             if all(u in chosen or v in chosen for u, v in edges):
                 return size
     raise AssertionError("unreachable")
+
+
+def plain_decomposition(nice) -> TreeDecomposition:
+    """A nice tree decomposition as a plain one: one bag per node, in
+    postorder, and one edge per parent-child pair."""
+    nodes = nice.postorder()
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return TreeDecomposition(
+        tuple(frozenset(node.bag) for node in nodes),
+        tuple(
+            (index[id(node)], index[id(child)])
+            for node in nodes
+            for child in node.children
+        ),
+    )
 
 
 def coarsen_decomposition(

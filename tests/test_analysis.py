@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cmsvote import (
     ColoredGraph,
     build_global_graph,
-    build_voter_graph,
     classify,
     gen_from_multicolored_clique,
     gen_grid,
@@ -16,7 +15,6 @@ from cmsvote import (
     heuristic_tree_decomposition,
     is_group_dichotomous,
     make_nice,
-    max_in_degree,
     solve_brute,
     solve_treewidth,
     verify_decomposition,
@@ -38,9 +36,12 @@ from helpers import (
     build_p1,
     corrupt_decomposition,
     exhaustive_vertex_cover,
+    largest_premise_scope,
     naive_min_fill,
     naive_verify_decomposition,
     naive_vertex_cover_number,
+    plain_decomposition,
+    premise_edges,
     random_undirected_graph,
 )
 
@@ -132,11 +133,11 @@ def grid_graph(rho):
 
 class TestDependencyGraphs:
     def test_p1_voter_graph(self):
-        assert build_voter_graph(build_p1(), 0).edges == frozenset({(0, 1)})
+        assert premise_edges(build_p1(), 0) == frozenset({(0, 1)})
 
     def test_approve_all_voter_graph_empty(self):
         profile = make_profile([("A", ("0", "1")), ("B", ("0", "1"))], [("v", [])])
-        assert build_voter_graph(profile, 0).edges == frozenset()
+        assert premise_edges(profile, 0) == frozenset()
 
     def test_pair_voter_graph_is_in_star(self):
         graph = ColoredGraph.build(
@@ -145,7 +146,7 @@ class TestDependencyGraphs:
         )
         profile = gen_from_multicolored_clique(graph)
         for voter in range(1, profile.n):
-            edges = build_voter_graph(profile, voter).edges
+            edges = premise_edges(profile, voter)
             assert len(edges) == 2
             assert {j for _, j in edges} == {0}  # both point at the special issue
 
@@ -164,14 +165,14 @@ class TestDependencyGraphs:
         assert graph.edges == grid_graph(3).edges
 
     def test_max_in_degree(self):
-        assert max_in_degree(build_p1()) == 1
+        assert classify(build_p1()).delta == 1
         unconditional = make_profile([("A", ("0", "1"))], [("v", [approve(0, {0})])])
-        assert max_in_degree(unconditional) == 0
+        assert classify(unconditional).delta == 0
         graph = ColoredGraph.build(
             [("r", ("r0", "r1")), ("g", ("g0", "g1")), ("b", ("b0", "b1"))],
             [("r0", "g0")],
         )
-        assert max_in_degree(gen_from_multicolored_clique(graph)) == 2
+        assert classify(gen_from_multicolored_clique(graph)).delta == 2
 
 
 class TestGroupDichotomy:
@@ -373,7 +374,7 @@ class TestTreeDecomposition:
             graph = random_undirected_graph(rng, n, rng.random())
             td = heuristic_tree_decomposition(graph)
             if rng.random() < 0.5:
-                td = make_nice(td).to_decomposition()
+                td = plain_decomposition(make_nice(td))
             for _ in range(rng.randrange(3)):
                 td = corrupt_decomposition(rng, td, n)
             verdict = verify_decomposition(graph, td)
@@ -452,7 +453,7 @@ class TestMakeNice:
         td = TreeDecomposition((frozenset({0, 1}),), ())
         nice = make_nice(td)
         self.check_structure(nice)
-        assert nice.width == td.width
+        assert plain_decomposition(nice).width == td.width
 
     def test_width_preserved_on_random_graphs(self):
         for seed in range(100):
@@ -461,8 +462,9 @@ class TestMakeNice:
             td = heuristic_tree_decomposition(graph)
             nice = make_nice(td)
             self.check_structure(nice)
-            assert nice.width == td.width
-            assert verify_decomposition(graph, nice.to_decomposition()) is None
+            plain = plain_decomposition(nice)
+            assert plain.width == td.width
+            assert verify_decomposition(graph, plain) is None
 
     def test_node_count_linearish(self):
         td = heuristic_tree_decomposition(path(50))
@@ -543,7 +545,7 @@ class TestClassify:
         assert (report.group_dichotomous, report.dichotomy_witness) == (
             is_group_dichotomous(profile)
         )
-        assert report.delta == max_in_degree(profile)
+        assert report.delta == largest_premise_scope(profile)
 
     def test_vertex_covers_are_computed_on_first_read(self):
         # v0 holds 13 disjoint dependency edges: a cover past the report cap
@@ -563,7 +565,7 @@ class TestClassify:
             assert "per_voter_vertex_cover" not in vars(report)
             direct = []
             for i in range(profile.n):
-                edges = build_voter_graph(profile, i).edges
+                edges = premise_edges(profile, i)
                 graph = UndirectedGraph(
                     profile.m, frozenset((min(u, v), max(u, v)) for u, v in edges)
                 )
@@ -603,7 +605,7 @@ class TestClassify:
                 profile = family(seed, random.Random(seed))
                 expected = []
                 for i in range(profile.n):
-                    edges = build_voter_graph(profile, i).edges
+                    edges = premise_edges(profile, i)
                     graph = UndirectedGraph(
                         profile.m, frozenset((min(u, v), max(u, v)) for u, v in edges)
                     )
@@ -699,10 +701,10 @@ class TestBoundedCoverUnion:
 
         covers = []
         for i in range(profile.n):
-            direct = build_voter_graph(profile, i)
+            direct = premise_edges(profile, i)
             und = UndirectedGraph(
                 profile.m,
-                frozenset((min(u, v), max(u, v)) for u, v in direct.edges),
+                frozenset((min(u, v), max(u, v)) for u, v in direct),
             )
             covers.append(vertex_cover_number(und, 2))
         assert all(c is not None and c <= 2 for c in covers)

@@ -92,14 +92,15 @@ class TestDispatch:
 
     def test_majority_counts_approvals(self):
         profile = multi_component_profile()
-        assert majority_alternative(profile, 2) == 1  # "y": two approvals
+        # "y": two approvals, and v3's ballot is the one it dissatisfies
+        assert majority_alternative(profile, 2) == (1, 1)
 
     def test_majority_tie_breaks_low(self):
         profile = make_profile(
             [("A", ("x", "y"))],
             [("v", [approve(0, {0})]), ("w", [approve(0, {1})])],
         )
-        assert majority_alternative(profile, 0) == 0
+        assert majority_alternative(profile, 0) == (0, 1)
 
     def test_restrict_profile_keeps_ballot_voters(self):
         profile = multi_component_profile()

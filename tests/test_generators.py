@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,14 +8,13 @@ from cmsvote import (
     ColoredGraph,
     CspInstance,
     build_global_graph,
-    build_voter_graph,
     gen_from_2csp,
     gen_from_multicolored_clique,
     gen_from_sat,
     gen_grid,
     gen_random,
     is_group_dichotomous,
-    max_in_degree,
+    serialize_profile,
     solve_brute,
     validate_profile,
 )
@@ -23,6 +23,8 @@ from helpers import (
     cnf_satisfiable,
     csp_satisfiable,
     has_multicolored_clique,
+    largest_premise_scope,
+    premise_edges,
     random_cnf,
     random_colored_graph,
     random_csp,
@@ -37,7 +39,7 @@ class TestGenRandom:
 
     def test_zero_delta_means_unconditional(self):
         profile = gen_random(5, 4, d_max=3, delta_max=0, statement_density=0.8, seed=1)
-        assert max_in_degree(profile) == 0
+        assert largest_premise_scope(profile) == 0
 
     def test_group_dichotomous_flag(self):
         for seed in range(20):
@@ -54,7 +56,7 @@ class TestGenRandom:
                 6, 4, d_max=4, delta_max=3, statement_density=0.5, seed=seed
             )
             assert validate_profile(profile) == []
-            assert max_in_degree(profile) <= 3
+            assert largest_premise_scope(profile) <= 3
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -112,9 +114,9 @@ class TestGenFromClique:
     def test_structure(self):
         profile = gen_from_multicolored_clique(self.triangle_graph())
         assert validate_profile(profile) == []
-        assert max_in_degree(profile) == 2
+        assert largest_premise_scope(profile) == 2
         for voter in range(1, profile.n):
-            edges = build_voter_graph(profile, voter).edges
+            edges = premise_edges(profile, voter)
             assert len(edges) == 2 and {j for _, j in edges} == {0}
 
     def test_clique_means_free(self):
@@ -144,6 +146,30 @@ class TestGenFromClique:
 
 
 class TestGenFrom2Csp:
+    def test_variables_in_first_occurrence_order(self):
+        csp = CspInstance(
+            ("a", "b"), (("u", "v", ()), ("w", "u", ()), ("v", "x", ()), ("x", "w", ()))
+        )
+        assert csp.variables() == ("u", "v", "w", "x")
+        for seed in range(50):
+            csp = random_csp(random.Random(seed), 12, 2, 20)
+            reference = []
+            for u, v, _ in csp.constraints:
+                reference += [x for x in (u, v) if x not in reference]
+            assert csp.variables() == tuple(reference)
+
+    def test_acceptance_instances_are_unchanged(self):
+        # sha256 over the serialized profiles of the criterion-5 instances:
+        # any change to their issue order or ballots changes it.
+        digest = hashlib.sha256()
+        for seed in range(50):
+            rng = random.Random(seed)
+            csp = random_csp(rng, 4, rng.randint(2, 3), 3)
+            digest.update(serialize_profile(gen_from_2csp(csp)).encode())
+        assert digest.hexdigest() == (
+            "f71ec39a73a6ec04694f6cf744cb321cc9ca9aefdb95e051764f37402fe0fedd"
+        )
+
     def test_example_shape(self):
         csp = CspInstance(("a", "b"), (("u", "v", ((0, 1),)),))
         profile = gen_from_2csp(csp)
@@ -153,9 +179,9 @@ class TestGenFrom2Csp:
     def test_out_star_structure(self):
         csp = CspInstance(("a", "b"), (("u", "v", ((0, 1), (1, 0))),))
         profile = gen_from_2csp(csp)
-        assert max_in_degree(profile) == 1
+        assert largest_premise_scope(profile) == 1
         for voter in range(profile.n):
-            edges = build_voter_graph(profile, voter).edges
+            edges = premise_edges(profile, voter)
             assert len(edges) == 2
             assert len({k for k, _ in edges}) == 1  # all leave the constraint issue
 
@@ -181,7 +207,7 @@ class TestGenFrom2Csp:
             csp = random_csp(rng, 4, rng.randint(2, 3), 3)
             profile = gen_from_2csp(csp)
             assert validate_profile(profile) == []
-            assert max_in_degree(profile) == 1
+            assert largest_premise_scope(profile) == 1
             zero = solve_brute(profile).cost == 0
             assert zero == csp_satisfiable(csp)
 
@@ -203,7 +229,7 @@ class TestGenGrid:
     def test_voter_graphs_are_disjoint_paths(self):
         profile = gen_grid(3)
         for voter in range(profile.n):
-            edges = build_voter_graph(profile, voter).edges
+            edges = premise_edges(profile, voter)
             outs = [k for k, _ in edges]
             ins = [j for _, j in edges]
             # in- and out-degree at most one everywhere: unions of paths

@@ -162,7 +162,7 @@ class TestNetworkGadget:
         out = [[0], [3], [1, 2]]
         to = [2, 0, 1, 2]
         cap = [2, 0, 1, 0]
-        network = FlowNetwork(3, 0, 1, out, to, cap, 4, 2, 1)
+        network = FlowNetwork(3, 0, 1, out, to, cap, 2)
         cut, side = max_flow_min_cut(network)
         assert cut == 1
         assert side == frozenset({0, 2})

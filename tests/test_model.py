@@ -257,15 +257,6 @@ class TestCanonicalization:
     def test_naive_optimum_matches_manual_p1(self):
         assert naive_optimum(build_p1()) == (1, (0, 0))
 
-    def test_ballot_accessor_materializes_default(self):
-        p1 = build_p1()
-        ballot = p1.ballot(1, 1)  # v2's explicit approval of B=0
-        assert ballot.statements[()] == 0b01
-        pairs = [(i.name, i.alternatives) for i in p1.issues]
-        implicit = make_profile(pairs, [("v", [])]).ballot(0, 0)
-        assert implicit.scope == ()
-        assert implicit.statements[()] == 0b11
-
 
 class TestCachedFacts:
     def test_ballot_index_lists_explicit_ballots_in_voter_order(self):

@@ -8,12 +8,15 @@ import importlib.util
 import pathlib
 
 from cmsvote import (
+    approve,
     build_network,
     classify,
     compile_constraints,
     dispatch,
     gen_grid,
     gen_random,
+    issue_ballot,
+    make_profile,
     mincut,
 )
 
@@ -98,3 +101,47 @@ def test_traced_mincut_counts_match_the_compiled_network():
     assert counts == [
         {"mincut.constraints": len(constraints), "mincut.arcs": len(network.to) // 2}
     ]
+
+
+def test_a_traced_solve_opens_every_solve_path_span():
+    # A per-layer metric reads zero, without any error, when a layer calls
+    # the next through a reference that the tracer does not replace, such as
+    # one bound at import time.  So every solve-path span must open.
+    isolated = make_profile(
+        [("A", ("0", "1")), ("B", ("0", "1")), ("C", ("x", "y"))],
+        [
+            ("v", [approve(0, {1}), issue_ballot(1, (0,), {(0,): {0}, (1,): {1}})]),
+            ("w", [approve(2, {1})]),
+        ],
+    )
+    profiles = [
+        gen_grid(3),
+        gen_random(6, 4, d_max=3, delta_max=1, statement_density=0.5, seed=3),
+        gen_random(6, 4, d_max=3, delta_max=2, statement_density=0.5, seed=3),
+        isolated,
+    ]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        methods = [dispatch.solve_profile(profile).method for profile in profiles]
+    finally:
+        tracer.uninstall()
+    tracer.settle(0)
+    assert methods[-1] == "mincut+majority"
+    names = {record[0] for record in tracer.spans}
+    assert {
+        "dispatch",
+        "analysis.classify",
+        "dispatch.split",
+        "dispatch.majority",
+        "mincut",
+        "mincut.compile",
+        "mincut.network",
+        "mincut.flow",
+        "brute",
+        "treewidth",
+        "treewidth.compile",
+        "treewidth.decompose",
+        "treewidth.nice",
+        "model.verify",
+    } <= names
