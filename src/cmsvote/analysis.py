@@ -8,7 +8,7 @@ id so reports and decompositions are reproducible run to run.
 from __future__ import annotations
 
 import heapq
-import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,34 +37,6 @@ class UndirectedGraph:
 
     n: int
     edges: frozenset
-
-    def adjacency(self) -> list:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def components(self) -> list:
-        """Connected components as sorted vertex lists, ordered by smallest member."""
-        adj = self.adjacency()
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            queue = [start]
-            seen[start] = True
-            comp = []
-            while queue:
-                u = queue.pop()
-                comp.append(u)
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
-            out.append(sorted(comp))
-        return out
 
 
 @dataclass(frozen=True)
@@ -165,9 +137,12 @@ class AnalysisReport:
     all_binary: bool
     group_dichotomous: bool
     dichotomy_witness: Optional[DichotomyWitness]
-    component_count: int
     components: tuple
     profile: Profile = field(compare=False, repr=False)
+
+    @property
+    def component_count(self) -> int:
+        return len(self.components)
 
     @lazy_attribute
     def heuristic_width(self) -> Optional[int]:
@@ -675,6 +650,13 @@ def make_nice(decomposition: TreeDecomposition) -> NiceTreeDecomposition:
 def classify(profile: Profile) -> AnalysisReport:
     """Recommend a solver route for each connected component of the global graph.
 
+    One walk over the ballots, in voter order, gives each issue's delta and
+    dichotomy verdict and the graph's neighbour sets; components are the
+    walks over those sets from each unseen issue, ascending, and each
+    component's facts and edges are gathered on its own walk.  A ballot
+    whose target or premise issue lies outside the profile, or whose scope
+    holds its own target, raises ValueError naming the voter and the issue.
+
     Routing order: isolated issues go to majority counting; all-binary
     group-dichotomous components go to the min-cut solver; components whose
     ballots condition on at most one issue and whose heuristic width is at
@@ -693,52 +675,78 @@ def classify(profile: Profile) -> AnalysisReport:
     report's per-voter vertex covers, are left to their first read, so
     routing never pays for them.
     """
-    graph = build_global_graph(profile)
+    m = profile.m
     dom = profile.domain_sizes()
 
-    # One pass over all ballots; component checks then only touch their
-    # issues.  The first failing ballot in voter order is the whole-profile
-    # witness, exactly what is_group_dichotomous(profile) returns: before it
-    # every issue is still marked ok, so every conditional ballot is checked.
-    delta_by_issue = [0] * profile.m
-    gd_ok_by_issue = [True] * profile.m
+    # The first failing ballot in voter order is the whole-profile witness,
+    # exactly what is_group_dichotomous returns: before it every issue is
+    # still marked ok, so every conditional ballot is checked.
+    nbrs = defaultdict(set)  # no entry for isolated issues; popped once walked
+    delta_by_issue = [0] * m
+    gd_ok_by_issue = [True] * m
     witness = None
     for i, voter in enumerate(profile.voters):
         for j, ballot in voter.ballots.items():
-            if len(ballot.scope) > delta_by_issue[j]:
-                delta_by_issue[j] = len(ballot.scope)
-            if ballot.scope and gd_ok_by_issue[j]:
+            if not 0 <= j < m:
+                raise ValueError(f"voter {i}, issue {j}: ballot targets an unknown issue")
+            scope = ballot.scope
+            if not scope:
+                continue
+            for k in scope:
+                if k == j or not 0 <= k < m:
+                    raise ValueError(
+                        f"voter {i}, issue {j}: premise scope {scope} holds "
+                        + ("the target issue" if k == j else f"unknown issue {k}")
+                    )
+                nbrs[k].add(j)
+            nbrs[j].update(scope)
+            if len(scope) > delta_by_issue[j]:
+                delta_by_issue[j] = len(scope)
+            if gd_ok_by_issue[j]:
                 found = _ballot_dichotomy_witness(i, ballot, dom)
                 if found is not None:
                     gd_ok_by_issue[j] = False
                     if witness is None:
                         witness = found
 
-    edges_by_issue = [[] for _ in range(profile.m)]
-    for e in graph.edges:
-        edges_by_issue[e[0]].append(e)
-
+    seen = [False] * m
     comps = []
-    for issues in graph.components():
-        issues_t = tuple(issues)
-        binary = all(dom[j] == 2 for j in issues)
-        gd = all(gd_ok_by_issue[j] for j in issues)
-        delta = max(delta_by_issue[j] for j in issues)
-        sub_edges = frozenset(e for j in issues for e in edges_by_issue[j])
-        space = math.prod(dom[j] for j in issues)
+    for start in range(m):
+        if seen[start]:
+            continue
+        seen[start] = True
+        issues = [start]
+        binary = gd = True
+        delta = 0
+        space = 1
+        edges = []
+        for j in issues:
+            binary = binary and dom[j] == 2
+            gd = gd and gd_ok_by_issue[j]
+            if delta_by_issue[j] > delta:
+                delta = delta_by_issue[j]
+            space *= dom[j]
+            for k in nbrs.pop(j, ()):
+                if j < k:
+                    edges.append((j, k))
+                if not seen[k]:
+                    seen[k] = True
+                    issues.append(k)
+        issues = tuple(sorted(issues))
+        edges = frozenset(edges)
         probed = len(issues) > 1 and not (binary and gd) and delta <= 1
-        decomposition = _component_decomposition(issues, sub_edges) if probed else None
+        decomposition = _component_decomposition(issues, edges) if probed else None
         if len(issues) == 1:
             route = MAJORITY
         elif binary and gd:
             route = MINCUT
         elif decomposition is not None:
             route = TREEWIDTH
-        elif _brute_fits(profile, issues_t, space):
+        elif _brute_fits(profile, issues, space):
             route = BRUTE
         else:
             route = INTRACTABLE
-        comp = ComponentReport(issues_t, route, binary, gd, delta, space, sub_edges, profile)
+        comp = ComponentReport(issues, route, binary, gd, delta, space, edges, profile)
         if probed:
             vars(comp)["decomposition"] = decomposition  # the lazy attribute's slot
         if route in (BRUTE, INTRACTABLE):
@@ -750,7 +758,6 @@ def classify(profile: Profile) -> AnalysisReport:
         all_binary=all(d == 2 for d in dom),
         group_dichotomous=witness is None,
         dichotomy_witness=witness,
-        component_count=len(comps),
         components=tuple(comps),
         profile=profile,
     )

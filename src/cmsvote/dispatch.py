@@ -67,32 +67,24 @@ def restrict_profile(profile: Profile, issues) -> Profile:
     subset and would add zero dissatisfaction there.  So the sub-profile's
     cost of any outcome equals the full profile's cost on those issues, and
     component costs add up to the full cost.  Sub-profile issue ``t`` is
-    ``issues[t]``, and each kept voter's ballots follow that order, which
-    need not be ascending: a premise is permuted along with its scope, so
-    that it stays aligned with the sorted sub-profile scope.  The whole
-    profile with its issues in order is returned as is.
+    ``issues[t]``; the issues must be strictly ascending, as a component's
+    are, so a remapped scope stays sorted and its premises stay aligned.
+    The whole profile with its issues in order is returned as is.
 
     Remapping keeps the source ballots canonical, so the sub-profile's
-    ballots are built directly; a statement map is shared unless its
-    premises need re-sorting.
+    ballots are built directly and share their statement maps.
     """
     issues = list(issues)
+    if any(a >= b for a, b in zip(issues, issues[1:])):
+        raise ValueError(f"issues must be strictly ascending, got {issues}")
     if len(issues) == profile.m and issues == list(range(profile.m)):
         return profile
     index = {j: t for t, j in enumerate(issues)}
     sub_ballots = {}
     for t, j in enumerate(issues):
         for i, ballot in profile.ballots_by_issue[j]:
-            scope = [index[k] for k in ballot.scope]
-            statements = ballot.statements
-            if scope != sorted(scope):
-                order = sorted(range(len(scope)), key=scope.__getitem__)
-                scope = [scope[o] for o in order]
-                statements = {
-                    tuple(premise[o] for o in order): approved
-                    for premise, approved in statements.items()
-                }
-            sub_ballots.setdefault(i, {})[t] = IssueBallot(t, tuple(scope), statements)
+            scope = tuple([index[k] for k in ballot.scope])
+            sub_ballots.setdefault(i, {})[t] = IssueBallot(t, scope, ballot.statements)
     return Profile(
         tuple(profile.issues[j] for j in issues),
         tuple(

@@ -16,7 +16,8 @@ states the two-monotone constraint semantics that the min-cut gadget is
 checked against.  ``premise_edges``, ``largest_premise_scope`` and
 ``plain_decomposition`` read a voter's dependency edges, the profile's delta
 and a nice decomposition's bags straight off the data, for tests that need
-them as references.
+them as references, and ``reference_components`` splits the global
+dependency graph with networkx.
 """
 
 from __future__ import annotations
@@ -298,6 +299,24 @@ def premise_edges(profile, voter):
         (k, ballot.issue)
         for ballot in profile.voters[voter].ballots.values()
         for k in ballot.scope
+    )
+
+
+def reference_components(profile):
+    """(issues, edges) of each connected component of the global dependency
+    graph, found by networkx: issues ascending, edges as (min, max) pairs,
+    components ordered by their smallest issue."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(profile.m))
+    graph.add_edges_from(build_global_graph(profile).edges)
+    return sorted(
+        (
+            tuple(sorted(members)),
+            frozenset(tuple(sorted(e)) for e in graph.subgraph(members).edges),
+        )
+        for members in nx.connected_components(graph)
     )
 
 

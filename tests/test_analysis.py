@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from cmsvote import (
     is_group_dichotomous,
     make_nice,
     solve_brute,
+    solve_profile,
     solve_treewidth,
+    validate_profile,
     verify_decomposition,
     vertex_cover_number,
 )
@@ -43,6 +47,7 @@ from helpers import (
     plain_decomposition,
     premise_edges,
     random_undirected_graph,
+    reference_components,
 )
 
 
@@ -131,13 +136,26 @@ def grid_graph(rho):
     return UndirectedGraph(rho * rho, frozenset(edges))
 
 
+def component_graphs(profile):
+    """(issues, edges, delta) of each component ``classify`` reports."""
+    return [(c.issues, c.edges, c.delta) for c in classify(profile).components]
+
+
 class TestDependencyGraphs:
     def test_p1_voter_graph(self):
-        assert premise_edges(build_p1(), 0) == frozenset({(0, 1)})
+        profile = build_p1()
+        assert premise_edges(profile, 0) == frozenset({(0, 1)})
+        assert build_global_graph(profile).edges == frozenset({(0, 1)})
+        assert component_graphs(profile) == [((0, 1), frozenset({(0, 1)}), 1)]
 
     def test_approve_all_voter_graph_empty(self):
         profile = make_profile([("A", ("0", "1")), ("B", ("0", "1"))], [("v", [])])
         assert premise_edges(profile, 0) == frozenset()
+        assert build_global_graph(profile).edges == frozenset()
+        assert component_graphs(profile) == [
+            ((0,), frozenset(), 0),
+            ((1,), frozenset(), 0),
+        ]
 
     def test_pair_voter_graph_is_in_star(self):
         graph = ColoredGraph.build(
@@ -149,6 +167,9 @@ class TestDependencyGraphs:
             edges = premise_edges(profile, voter)
             assert len(edges) == 2
             assert {j for _, j in edges} == {0}  # both point at the special issue
+        star = frozenset({(0, 1), (0, 2), (0, 3)})
+        assert build_global_graph(profile).edges == star
+        assert component_graphs(profile) == [((0, 1, 2, 3), star, 2)]
 
     def test_global_graph_drops_direction_and_multiplicity(self):
         profile = make_profile(
@@ -547,6 +568,90 @@ class TestClassify:
         )
         assert report.delta == largest_premise_scope(profile)
 
+    def test_component_facts_match_a_reference(self):
+        # 300 seeded profiles, delta 0-3, every third group-dichotomous; the
+        # sparse ones leave issues isolated.  Components and edges come from
+        # networkx, the other facts from each issue's ballots.
+        def dichotomous_shape(ballot, dom):
+            return dom[ballot.issue] == 2 and all(
+                set(premise) == {0} and approved in (0b01, 0b11)
+                or set(premise) == {1} and approved in (0b10, 0b11)
+                for premise, approved in ballot.statements.items()
+            )
+
+        deltas = set()
+        isolated = gd_parts = other_parts = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            profile = gen_random(
+                rng.randint(4, 30),
+                rng.randint(1, 8),
+                d_max=rng.randint(2, 4),
+                delta_max=seed % 4,
+                statement_density=rng.choice([0.05, 0.15, 0.3, 0.5]),
+                seed=seed,
+                group_dichotomous=seed % 3 == 0,
+            )
+            dom = profile.domain_sizes()
+            on_issue = [[] for _ in range(profile.m)]
+            for voter in profile.voters:
+                for ballot in voter.ballots.values():
+                    on_issue[ballot.issue].append(ballot)
+            delta = [max((len(b.scope) for b in bs), default=0) for bs in on_issue]
+            gd_ok = [
+                all(dichotomous_shape(b, dom) for b in bs if b.scope) for bs in on_issue
+            ]
+
+            report = classify(profile)
+            assert [(c.issues, c.edges) for c in report.components] == (
+                reference_components(profile)
+            ), seed
+            for c in report.components:
+                assert c.delta == max(delta[j] for j in c.issues), seed
+                assert c.all_binary == all(dom[j] == 2 for j in c.issues), seed
+                assert c.group_dichotomous == all(gd_ok[j] for j in c.issues), seed
+                assert c.outcome_space == math.prod(dom[j] for j in c.issues), seed
+                deltas.add(c.delta)
+                if len(c.issues) == 1:
+                    isolated += 1
+                elif c.group_dichotomous:
+                    gd_parts += 1
+                else:
+                    other_parts += 1
+        assert deltas == {0, 1, 2, 3}
+        assert isolated and gd_parts and other_parts
+
+    @pytest.mark.parametrize(
+        "ballot, problem",
+        [
+            (issue_ballot(-1, (0,), {(0,): {0}}), "issue -1: ballot targets an unknown issue"),
+            (approve(3, {0}), "issue 3: ballot targets an unknown issue"),
+            (
+                issue_ballot(1, (1,), {(0,): {0}}),
+                "issue 1: premise scope (1,) holds the target issue",
+            ),
+            (
+                issue_ballot(1, (-1,), {(0,): {0}}),
+                "issue 1: premise scope (-1,) holds unknown issue -1",
+            ),
+            (
+                issue_ballot(0, (1, 2), {(0, 0): {0}}),
+                "issue 0: premise scope (1, 2) holds unknown issue 2",
+            ),
+        ],
+    )
+    def test_out_of_range_and_self_premises_raise(self, ballot, problem):
+        # Profiles validate_profile flags used to misroute or crash with a
+        # KeyError or an IndexError; the walk names the voter and the issue.
+        profile = make_profile(
+            [("A", ("0", "1")), ("B", ("0", "1"))],
+            [("v", [issue_ballot(1, (0,), {(0,): {0}})]), ("w", [ballot])],
+        )
+        assert validate_profile(profile)
+        for run in (classify, solve_profile):
+            with pytest.raises(ValueError, match=re.escape(f"voter 1, {problem}")):
+                run(profile)
+
     def test_vertex_covers_are_computed_on_first_read(self):
         # v0 holds 13 disjoint dependency edges: a cover past the report cap
         m = 26
@@ -632,13 +737,11 @@ class TestClassify:
                 group_dichotomous=seed % 2 == 0,
             )
             threshold = rng.choice([1, 2, 3, WIDTH_THRESHOLD])
-            graph = build_global_graph(profile)
             eager = []
-            for issues in graph.components():
+            for issues, edges in reference_components(profile):
                 index = {j: t for t, j in enumerate(issues)}
                 sub = UndirectedGraph(
-                    len(issues),
-                    frozenset((index[u], index[v]) for u, v in graph.edges if u in index),
+                    len(issues), frozenset((index[u], index[v]) for u, v in edges)
                 )
                 capped = heuristic_tree_decomposition(sub, threshold)
                 eager.append(None if capped is None else capped.width)
