@@ -654,8 +654,9 @@ def classify(profile: Profile) -> AnalysisReport:
     dichotomy verdict and the graph's neighbour sets; components are the
     walks over those sets from each unseen issue, ascending, and each
     component's facts and edges are gathered on its own walk.  A ballot
-    whose target or premise issue lies outside the profile, or whose scope
-    holds its own target, raises ValueError naming the voter and the issue.
+    whose target or premise issue lies outside the profile, whose scope
+    holds its own target, or that is filed under another issue than its
+    target, raises ValueError naming the voter and the issue.
 
     Routing order: isolated issues go to majority counting; all-binary
     group-dichotomous components go to the min-cut solver; components whose
@@ -689,6 +690,11 @@ def classify(profile: Profile) -> AnalysisReport:
         for j, ballot in voter.ballots.items():
             if not 0 <= j < m:
                 raise ValueError(f"voter {i}, issue {j}: ballot targets an unknown issue")
+            if ballot.issue != j:
+                raise ValueError(
+                    f"voter {i}, issue {j}: ballot filed under issue {j} "
+                    f"targets issue {ballot.issue}"
+                )
             scope = ballot.scope
             if not scope:
                 continue
@@ -800,8 +806,13 @@ def _brute_fits(profile: Profile, issues, outcome_space: int) -> bool:
 
 
 def _component_decomposition(issues, edges):
+    return heuristic_tree_decomposition(_component_graph(issues, edges), WIDTH_THRESHOLD)
+
+
+def _component_graph(issues, edges) -> UndirectedGraph:
+    """A component's global-graph ``edges`` over sub-profile ids: issue
+    ``issues[t]``, of the ascending ``issues``, is vertex ``t``."""
     index = {j: t for t, j in enumerate(issues)}
-    sub = UndirectedGraph(
+    return UndirectedGraph(
         len(issues), frozenset((index[u], index[v]) for u, v in edges)
     )
-    return heuristic_tree_decomposition(sub, WIDTH_THRESHOLD)

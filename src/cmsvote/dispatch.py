@@ -1,28 +1,38 @@
-"""Component-wise solving: classify, route, solve, merge.
+"""Route-wise solving: classify, group the components by route, solve, merge.
 
 The objective is additive over the connected components of the global
-dependency graph, so each component is solved independently (isolated issues
-by counting approvals, the rest by whichever solver the classification
-recommends or the caller forces) and the partial outcomes are concatenated.
-The routing rule lives in ``analysis`` alone: ``classify``
-picks each component's route, and ``applicable_routes`` lists the solvers a
-forced method or cross-validation may run.
-TREEWIDTH components are solved along the min-fill decomposition that
-``classify`` kept for them (``ComponentReport.decomposition``).
-The merged outcome's cost is recomputed from scratch and checked against the
-per-component sum; any disagreement aborts.
+dependency graph.  ``classify`` picks each component's route, and
+``applicable_routes`` lists the solvers a forced method or cross-validation
+may run; the routing rule lives in ``analysis`` alone.  An isolated issue
+(``MAJORITY``) is decided by one ``majority_alternative`` call, which walks
+its ballots once and returns the winning alternative with its cost.  The
+other components are grouped by route, in component order, and each group
+gets one sub-profile over the ascending union of its issues and one solver
+call.  The components share no ballot, so each gets the outcome it would
+get alone:
 
-Splitting and majority counting read the profile's per-issue ballot index
-(``Profile.ballots_by_issue``), so they walk only the ballots on a
-component's own issues instead of every voter's ballot map.  Majority
-counting walks an isolated issue's ballots once and returns the winning
-alternative together with its cost.  A component's
-sub-profile keeps only the voters with a ballot on it, so building it and
-re-verifying the component's solution cost O(its ballots), not O(n); the
+- ``MINCUT`` solves one network whose gadgets are disjoint apart from s and
+  t.  A maximum flow's residual source side is the union of the
+  components' minimal source sides.
+- ``BRUTE`` eliminates in the union's descending order, which keeps each
+  component's descending order and so its lexicographically first optimum.
+- ``TREEWIDTH`` eliminates along one union decomposition: the decompositions
+  ``classify`` kept for the components (``ComponentReport.decomposition``),
+  each hung by its bag 0 off an empty bag 0, so the nice form forgets each
+  component's issues in the order it would alone.
+
+Admission stays the compiler's.  Table entries add across components, so
+when ``_scan.check_entries`` refuses a group's union, its components are
+solved one at a time.  That per-component path is the one cross-validation
+runs, solving each component by every applicable route.
+
+A sub-profile keeps only the voters with a ballot on its issues, so building
+it and re-verifying its solution cost O(its ballots), not O(n); the
 sub-solution's ``per_voter`` lists those voters only.  The dispatcher reads
-just each component's outcome and cost, and the merged outcome is verified
-over every voter of the full profile.  When one component is the whole
-profile, the solver's own verified solution is returned instead, unless
+just each sub-solution's outcome and cost.  The merged outcome's cost is
+recomputed over every voter of the full profile and checked against the sum
+of the parts; any disagreement aborts.  When one group is the whole profile,
+the solver's own verified solution is returned instead, unless
 cross-validation is on.
 """
 
@@ -37,11 +47,14 @@ from .analysis import (
     MINCUT,
     TREEWIDTH,
     AnalysisReport,
+    TreeDecomposition,
+    _component_graph,
     applicable_routes,
     classify,
+    heuristic_tree_decomposition,
 )
 from .brute import solve_brute
-from .errors import InternalMismatch, Intractable
+from .errors import BudgetExceeded, InternalMismatch, Intractable
 from .mincut import solve_mincut
 from .model import IssueBallot, Profile, Solution, Voter, make_solution
 from .treewidth import solve_treewidth
@@ -114,12 +127,75 @@ def majority_alternative(profile: Profile, issue: int) -> tuple:
     return alt, len(ballots) - counts[alt]
 
 
-def _solve(route: str, comp, sub: Profile) -> Solution:
+def _solve(route: str, comps, issues, sub: Profile) -> Solution:
+    """Solve the components ``comps`` at once on ``sub``, their sub-profile
+    over the ascending union ``issues``."""
     if route == BRUTE:
         return solve_brute(sub)
     if route == MINCUT:
         return solve_mincut(sub)
-    return solve_treewidth(sub, comp.decomposition)
+    return solve_treewidth(sub, _union_decomposition(comps, issues))
+
+
+def _union_decomposition(comps, issues) -> TreeDecomposition:
+    """Decomposition of the components' union over the positions of the
+    ascending ``issues``: an empty bag 0, with each component's decomposition
+    hung off it by its own bag 0 and its ids mapped to union ids in order.
+
+    ``make_nice`` visits bag 0's children in component order, and the id map
+    keeps each component's order, so it forgets each component's issues in
+    the relative order it would forget them alone.  A component whose capped
+    min-fill run gave up (a forced TREEWIDTH route) takes the uncapped run
+    over its own edges, which ``solve_treewidth`` would build for it alone.
+    One component's decomposition is passed on as it is.
+    """
+    if len(comps) == 1:
+        return comps[0].decomposition
+    index = {j: t for t, j in enumerate(issues)}
+    bags = [frozenset()]
+    edges = []
+    for comp in comps:
+        decomposition = comp.decomposition
+        if decomposition is None:
+            decomposition = heuristic_tree_decomposition(
+                _component_graph(comp.issues, comp.edges)
+            )
+        ids = [index[j] for j in comp.issues]
+        base = len(bags)
+        bags += [frozenset([ids[v] for v in bag]) for bag in decomposition.bags]
+        edges.append((0, base))
+        edges += [(base + a, base + b) for a, b in decomposition.edges]
+    return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def _solve_component(
+    profile: Profile, comp, route: str, assignment: dict, cross_validate: bool
+) -> int:
+    """Solve one component alone into ``assignment`` and return its cost.
+    With ``cross_validate``, every other applicable route must agree on the
+    cost."""
+    sub = None
+    if route == MAJORITY:
+        (issue,) = comp.issues
+        assignment[issue], cost = majority_alternative(profile, issue)
+    else:
+        sub = restrict_profile(profile, comp.issues)
+        solution = _solve(route, [comp], comp.issues, sub)
+        assignment.update(zip(comp.issues, solution.outcome))
+        cost = solution.cost
+    if cross_validate:
+        checked = [cost]
+        for other in applicable_routes(comp):
+            if other == route:
+                continue
+            if sub is None:
+                sub = restrict_profile(profile, comp.issues)
+            checked.append(_solve(other, [comp], comp.issues, sub).cost)
+        if len(set(checked)) > 1:
+            raise InternalMismatch(
+                f"solvers disagree on component {comp.issues}: {checked}"
+            )
+    return cost
 
 
 def _route_override(comp, method: str, report: AnalysisReport) -> str:
@@ -130,11 +206,12 @@ def _route_override(comp, method: str, report: AnalysisReport) -> str:
 
 
 def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solution:
-    """Solve component-wise and merge; raises Intractable with the analysis
+    """Solve route by route and merge; raises Intractable with the analysis
     report when some component has no applicable route."""
     report = classify(profile)
 
     plan = []
+    groups = {}  # route -> its components; routes in order of first use
     for comp in report.components:
         if config.method != "auto":
             route = _route_override(comp, config.method, report)
@@ -143,42 +220,43 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
             if route == INTRACTABLE:
                 raise Intractable(report)
         plan.append((comp, route))
+        groups.setdefault(route, []).append(comp)
 
     assignment = {}
     component_total = 0
-    routes_used = []
-    for comp, route in plan:
-        sub = None
-        if route == MAJORITY:
-            (issue,) = comp.issues
-            assignment[issue], cost = majority_alternative(profile, issue)
-        else:
-            sub = restrict_profile(profile, comp.issues)
-            solution = _solve(route, comp, sub)
-            if sub is profile and not config.cross_validate:
-                # The one component is the whole profile, and the solver has
-                # verified its outcome over every voter already.
-                return solution
-            assignment.update(zip(comp.issues, solution.outcome))
-            cost = solution.cost
-        if config.cross_validate:
-            checked = [cost]
-            for other in applicable_routes(comp):
-                if other == route:
+    if config.cross_validate:
+        for comp, route in plan:
+            component_total += _solve_component(
+                profile, comp, route, assignment, cross_validate=True
+            )
+    else:
+        for route, comps in groups.items():
+            if route != MAJORITY:
+                issues = sorted(j for comp in comps for j in comp.issues)
+                sub = restrict_profile(profile, issues)
+                try:
+                    solution = _solve(route, comps, issues, sub)
+                except BudgetExceeded:
+                    if len(comps) == 1:
+                        raise
+                    # The union's entries are its components' sum; each
+                    # component may still fit alone.
+                else:
+                    if sub is profile:
+                        # One route's components are the whole profile, and
+                        # the solver has verified its outcome over every
+                        # voter already.
+                        return solution
+                    assignment.update(zip(issues, solution.outcome))
+                    component_total += solution.cost
                     continue
-                if sub is None:
-                    sub = restrict_profile(profile, comp.issues)
-                checked.append(_solve(other, comp, sub).cost)
-            if len(set(checked)) > 1:
-                raise InternalMismatch(
-                    f"solvers disagree on component {comp.issues}: {checked}"
+            for comp in comps:
+                component_total += _solve_component(
+                    profile, comp, route, assignment, cross_validate=False
                 )
-        component_total += cost
-        if route not in routes_used:
-            routes_used.append(route)
 
     outcome = tuple(assignment[j] for j in range(profile.m))
-    solution = make_solution(profile, outcome, "+".join(r.lower() for r in routes_used))
+    solution = make_solution(profile, outcome, "+".join(r.lower() for r in groups))
     if solution.cost != component_total:
         raise InternalMismatch(
             f"component costs sum to {component_total} but the merged outcome "

@@ -10,8 +10,9 @@ so the tables stay as small as the decomposition's width allows.  Among
 minimizers, each issue takes the lowest alternative that minimizes its
 bucket given the issues eliminated after it.  The compiler checks the
 tables' entries against ``_scan.MAX_TABLE_ENTRIES`` before it allocates
-any.  ``dispatch`` passes the decomposition ``classify`` kept for the
-component.
+any.  ``dispatch`` passes one decomposition per TREEWIDTH group: the
+decompositions ``classify`` kept for its components, hung off one empty
+bag, or a lone component's own.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def solve_treewidth(profile: Profile, decomposition: TreeDecomposition = None) -
     # A valid decomposition's nice form forgets every issue exactly once.
     nice = make_nice(decomposition)
     order = [node.vertex for node in nice.postorder() if node.kind == "forget"]
+    del graph, decomposition, nice  # freed before the tables are compiled
 
     optimum, outcome = eliminate(compile_cost_model(profile, order), order)
     solution = make_solution(profile, outcome, "treewidth")

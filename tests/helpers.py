@@ -17,7 +17,9 @@ checked against.  ``premise_edges``, ``largest_premise_scope`` and
 ``plain_decomposition`` read a voter's dependency edges, the profile's delta
 and a nice decomposition's bags straight off the data, for tests that need
 them as references, and ``reference_components`` splits the global
-dependency graph with networkx.
+dependency graph with networkx.  ``per_component_solve`` solves each
+component alone on its ``naive_restrict_profile`` sub-profile, the
+reference for the dispatcher's one solve per route.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from cmsvote import (
 from cmsvote.analysis import (
     TreeDecomposition,
     UndirectedGraph,
+    applicable_routes,
     build_global_graph,
     heuristic_tree_decomposition,
     make_nice,
@@ -204,6 +207,53 @@ def naive_restrict_profile(profile, issues):
         (profile.issues[j].name, profile.issues[j].alternatives) for j in issues
     ]
     return make_profile(sub_issues, sub_voters)
+
+
+def per_component_solve(profile, method="auto"):
+    """(outcome, cost, method string) of solving each component of
+    ``classify(profile)`` alone and merging the parts: the reference for the
+    route-wise ``solve_profile``.
+
+    A component's sub-profile comes from ``naive_restrict_profile``; its
+    route is ``classify``'s or the forced ``method``, and it is solved by
+    that route's solver (majority counting by ``naive_majority_alternative``,
+    TREEWIDTH along the component's own decomposition).  Raises Intractable
+    as ``solve_profile`` does, before any component is solved.
+    """
+    report = cmsvote.classify(profile)
+    plan = []
+    for comp in report.components:
+        if method == "auto":
+            route = comp.route
+            routable = route != "INTRACTABLE"
+        else:
+            route = method.upper()
+            routable = route in applicable_routes(comp)
+        if not routable:
+            raise cmsvote.Intractable(report)
+        plan.append((comp, route))
+    outcome = [None] * profile.m
+    cost = 0
+    routes = []
+    for comp, route in plan:
+        if route == "MAJORITY":
+            (issue,) = comp.issues
+            outcome[issue], part = naive_majority_alternative(profile, issue)
+        else:
+            sub = naive_restrict_profile(profile, comp.issues)
+            if route == "BRUTE":
+                solution = cmsvote.solve_brute(sub)
+            elif route == "MINCUT":
+                solution = cmsvote.solve_mincut(sub)
+            else:
+                solution = cmsvote.solve_treewidth(sub, comp.decomposition)
+            for j, a in zip(comp.issues, solution.outcome):
+                outcome[j] = a
+            part = solution.cost
+        cost += part
+        if route not in routes:
+            routes.append(route)
+    return tuple(outcome), cost, "+".join(r.lower() for r in routes)
 
 
 def cost_on_issues(profile, issues, outcome):

@@ -34,7 +34,7 @@ from cmsvote.analysis import (
     TreeDecomposition,
     UndirectedGraph,
 )
-from cmsvote.model import approve, issue_ballot, make_profile
+from cmsvote.model import Issue, Profile, Voter, approve, issue_ballot, make_profile
 
 from helpers import (
     build_p1,
@@ -638,14 +638,19 @@ class TestClassify:
                 issue_ballot(0, (1, 2), {(0, 0): {0}}),
                 "issue 0: premise scope (1, 2) holds unknown issue 2",
             ),
+            # A ballot on B filed under A: counted under A, verified under B.
+            ({0: approve(1, {1})}, "issue 0: ballot filed under issue 0 targets issue 1"),
         ],
     )
     def test_out_of_range_and_self_premises_raise(self, ballot, problem):
         # Profiles validate_profile flags used to misroute or crash with a
-        # KeyError or an IndexError; the walk names the voter and the issue.
-        profile = make_profile(
-            [("A", ("0", "1")), ("B", ("0", "1"))],
-            [("v", [issue_ballot(1, (0,), {(0,): {0}})]), ("w", [ballot])],
+        # KeyError, an IndexError or an InternalMismatch; the walk names the
+        # voter and the issue.  A ballot given as {key: ballot} is filed
+        # under that key, else under its own issue.
+        filed = ballot if isinstance(ballot, dict) else {ballot.issue: ballot}
+        profile = Profile(
+            (Issue("A", ("0", "1")), Issue("B", ("0", "1"))),
+            (Voter("v", {1: issue_ballot(1, (0,), {(0,): {0}})}), Voter("w", filed)),
         )
         assert validate_profile(profile)
         for run in (classify, solve_profile):

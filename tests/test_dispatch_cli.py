@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from cmsvote import (
     Intractable,
+    _scan,
     analysis,
+    dispatch,
     classify,
     gen_from_2csp,
     gen_from_multicolored_clique,
     gen_from_sat,
     gen_grid,
     gen_random,
+    make_nice,
     model,
     solve_brute,
     solve_mincut,
@@ -42,6 +45,7 @@ from helpers import (
     naive_majority_alternative,
     naive_optimum,
     naive_restrict_profile,
+    per_component_solve,
     random_cnf,
     random_colored_graph,
     random_csp,
@@ -228,9 +232,9 @@ class TestDispatch:
         assert solution == model.make_solution(profile, solution.outcome, "mincut")
 
     def test_verification_walks_component_voters_only(self, monkeypatch):
-        # Each solver re-verifies its component on the sub-profile, which
-        # holds only the voters with a ballot there; the merged check then
-        # walks every voter once.
+        # Each route's solver re-verifies its components at once on the
+        # sub-profile of their union, which holds only the voters with a
+        # ballot there; the merged check then walks every voter once.
         profile = gen_random(
             120, 60, delta_max=1, statement_density=0.006, seed=4, group_dichotomous=True
         )
@@ -238,6 +242,15 @@ class TestDispatch:
         sub_voters = [restrict_profile(profile, c.issues).n for c in solved]
         # Keeping every voter would cost len(solved) * profile.n calls.
         assert len(solved) > 5 and 4 * sum(sub_voters) < len(solved) * profile.n
+        union_voters = [
+            restrict_profile(
+                profile, sorted(j for c in solved if c.route == route for j in c.issues)
+            ).n
+            for route in {c.route for c in solved}
+        ]
+        # A voter with ballots on several components of one route is walked
+        # once, not once per component.
+        assert sum(union_voters) < sum(sub_voters)
 
         calls = []
         original = model.voter_dissatisfaction
@@ -248,7 +261,7 @@ class TestDispatch:
 
         monkeypatch.setattr(model, "voter_dissatisfaction", counting)
         solve_profile(profile)
-        assert len(calls) == sum(sub_voters) + profile.n
+        assert len(calls) == sum(union_voters) + profile.n
 
 
 # Small profiles of every shape the dispatcher splits: several components or
@@ -349,6 +362,109 @@ class TestDifferential:
                 group_dichotomous=True,
             )
             assert solve_mincut(profile).outcome == naive_optimum(profile)[1], seed
+
+
+def with_isolated_issue(profile):
+    """The profile plus one binary issue that one more voter approves 1 on."""
+    issues = [(issue.name, issue.alternatives) for issue in profile.issues]
+    voters = [(voter.name, list(voter.ballots.values())) for voter in profile.voters]
+    return make_profile(
+        issues + [("extra", ("0", "1"))], voters + [("x", [approve(profile.m, {1})])]
+    )
+
+
+class TestRouteWise:
+    """One solve per route against each component solved alone."""
+
+    def test_matches_per_component_solve(self):
+        profiles = [
+            gen_random(
+                8 + seed % 23,
+                2 + seed % 7,
+                d_max=2 + seed % 2,
+                delta_max=seed % 4,
+                statement_density=(0.04, 0.08, 0.2)[seed % 3],
+                seed=seed,
+                group_dichotomous=seed % 5 == 0,
+            )
+            for seed in range(90)
+        ]
+        # A component past the width cap, forced to TREEWIDTH next to an
+        # isolated issue: the union takes its uncapped min-fill run.
+        wide = with_isolated_issue(
+            gen_random(26, 12, d_max=2, delta_max=1, statement_density=0.5, seed=0)
+        )
+        assert any(c.decomposition is None for c in classify(wide).components)
+        profiles.append(wide)
+        grouped = set()
+        for index, profile in enumerate(profiles):
+            routes = [c.route for c in classify(profile).components]
+            for method in METHODS:
+                config = SolveConfig(method=method)
+                try:
+                    expected = per_component_solve(profile, method)
+                except Intractable:
+                    with pytest.raises(Intractable):
+                        solve_profile(profile, config)
+                    continue
+                solution = solve_profile(profile, config)
+                got = (solution.outcome, solution.cost, solution.method)
+                assert got == expected, (index, method)
+                planned = routes if method == "auto" else [method.upper()] * len(routes)
+                grouped.update(
+                    r for r in planned if r != "MAJORITY" and planned.count(r) > 1
+                )
+        assert grouped == {"MINCUT", "TREEWIDTH", "BRUTE"}
+
+    @pytest.mark.parametrize(
+        "route, delta, seed", [("TREEWIDTH", 1, 0), ("BRUTE", 2, 3)]
+    )
+    def test_refused_union_is_solved_component_by_component(
+        self, monkeypatch, route, delta, seed
+    ):
+        # Table entries add across a union, so a limit between the largest
+        # component's entries and the union's refuses the union while every
+        # component still fits alone.
+        profile = gen_random(
+            24, 6, d_max=3, delta_max=delta, statement_density=0.06, seed=seed
+        )
+        expected = per_component_solve(profile)
+        comps = [c for c in classify(profile).components if c.route == route]
+        assert len(comps) > 1
+
+        def entries(comp):
+            """(factor entries, bucket entries) of the component alone."""
+            sub = restrict_profile(profile, comp.issues)
+            dom = sub.domain_sizes()
+            if route == "BRUTE":
+                order = range(sub.m - 1, -1, -1)
+            else:
+                nodes = make_nice(comp.decomposition).postorder()
+                order = [node.vertex for node in nodes if node.kind == "forget"]
+            pairs = ((j, b) for voter in sub.voters for j, b in voter.ballots.items())
+            axes = _scan.group_by_axes(pairs, dom)
+            factors = sum(math.prod(dom[k] for k in a) for a in axes)
+            return factors, _scan.predict_entries(axes, dom, order)
+
+        sizes = [entries(c) for c in comps]
+        limit = max(map(max, sizes))
+        assert sum(buckets for _, buckets in sizes) > limit
+        monkeypatch.setattr(_scan, "MAX_TABLE_ENTRIES", limit)
+
+        name = {"TREEWIDTH": "solve_treewidth", "BRUTE": "solve_brute"}[route]
+        original = getattr(dispatch, name)
+        solved = []
+
+        def counting(sub, *args):
+            solved.append(sub.m)
+            return original(sub, *args)
+
+        monkeypatch.setattr(dispatch, name, counting)
+        solution = solve_profile(profile)
+        assert (solution.outcome, solution.cost, solution.method) == expected
+        # The refused union, then each component alone.
+        union = sum(len(c.issues) for c in comps)
+        assert solved == [union] + [len(c.issues) for c in comps]
 
 
 class TestBallotIndex:

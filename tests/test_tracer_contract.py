@@ -145,3 +145,24 @@ def test_a_traced_solve_opens_every_solve_path_span():
         "treewidth.nice",
         "model.verify",
     } <= names
+
+
+def test_traced_route_unions_settle():
+    # Several MINCUT and several TREEWIDTH components are solved as one
+    # union per route; make_nice still runs inside the treewidth span, where
+    # the tracer reads the width and table entries.
+    profile = gen_random(30, 8, d_max=2, delta_max=1, statement_density=0.05, seed=1)
+    routes = [comp.route for comp in classify(profile).components]
+    assert routes.count("MINCUT") >= 2 and routes.count("TREEWIDTH") >= 2
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        dispatch.solve_profile(profile)
+    finally:
+        tracer.uninstall()
+    tracer.settle(0)
+    names = [record[0] for record in tracer.spans]
+    assert names.count("mincut") == names.count("treewidth") == 1
+    (nice,) = [record for record in tracer.spans if record[0] == "treewidth.nice"]
+    assert tracer.spans[nice[3]][0] == "treewidth"
+    assert nice[4]["treewidth.table_entries"] > 0
