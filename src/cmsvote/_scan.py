@@ -9,6 +9,13 @@ Tables of pairs that share an axis tuple are summed into one table per axis
 tuple, so the profile compiles to a handful of small integer tables whose
 broadcast sum is the total dissatisfaction of every outcome.
 
+The compiler fills the tables in one counting pass.  They lie in one flat
+buffer, one view per axis tuple, each starting at its number of pairs.  For
+each statement it gathers the flat index of its premise cell with the
+target at 0, the target's stride and the approval mask; numpy expands the
+masks into the approved cells, and one ``bincount`` takes each cell's
+count of satisfied pairs off the fill.
+
 Table layout and guards:
 
 - A table's cells count dissatisfied pairs, and so does every sum of cells
@@ -22,12 +29,15 @@ Table layout and guards:
 ``eliminate`` minimizes the sum by bucket elimination (Dechter 1999;
 Bertelè & Brioschi 1972) along an order of the issues.  Each factor goes
 into the bucket of its first-eliminated axis.  A bucket adds its tables
-broadcast over its scope (its own issue first, the rest ascending), keeps
-the argmin over its issue (ties to the lowest alternative) and passes the
-minimum to the bucket of the next issue in the rest of its scope.  The
-traceback then sets the issues in reverse order.  The bucket tables'
-entries, the sum over buckets of the product of their scopes' domain sizes,
-follow from the factor axes alone; ``predict_entries`` computes them.
+broadcast over its scope (its own issue first, the rest ascending) and
+passes the minimum over its issue to the bucket of the next issue in the
+rest of its scope; the bucket table is then freed, and the bucket keeps
+only its parts.  The traceback sets the issues in reverse order: each
+issue takes the argmin of its bucket's parts summed at the issues already
+set (ties to the lowest alternative), so no argmin table is stored.  The
+bucket tables' entries, the sum over buckets of the product of their
+scopes' domain sizes, follow from the factor axes alone;
+``predict_entries`` computes them.
 
 numpy is imported inside the functions that use it, as in the other
 kernels, so that importing the package (and ``cmsvote analyze``) does not
@@ -36,15 +46,18 @@ load it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .model import Profile, alternatives, approves_all
+from .model import Profile, approves_all
 
 # Bounds the work of one elimination: the sum over its buckets of the product
 # of their scopes' domain sizes.  Each bucket table is freed once its minimum
-# is passed on, so this is work rather than memory held at once.
+# is passed on, and only the minima, each 1/d the size of its table,
+# stay for the traceback, so this is work rather than memory held at once.
 MAX_TABLE_ENTRIES = 1 << 27
 
 
@@ -88,25 +101,53 @@ def compile_cost_model(profile: Profile, order) -> CostModel:
     n_pairs = sum(map(len, groups.values()))
     dtype = _count_dtype(n_pairs)
 
-    factors = []
+    # A statement satisfies its pair at the flat cells base + a * stride,
+    # one per approved alternative a: base is its premise cell with the
+    # target at 0, stride the target's stride in its table.
+    shapes, sizes, fills, bases, strides, masks = [], [], [], [], [], []
+    offset = 0
     for axes, ballots in groups.items():
-        # Every pair starts dissatisfied everywhere; each approved
-        # (premise, alternative) cell then satisfies it there, once.
-        table = np.full([dom[k] for k in axes], len(ballots), dtype=dtype)
-        pos = {k: t for t, k in enumerate(axes)}
+        shape = [dom[k] for k in axes]
+        step = {}
+        size = 1
+        for k, d in zip(reversed(axes), reversed(shape)):
+            step[k] = size
+            size *= d
         for j, ballot in ballots:
-            target = pos[j]
-            for premise, approved in ballot.statements.items():
-                cell = [None] * len(axes)
-                for k, v in zip(ballot.scope, premise):
-                    cell[pos[k]] = v
-                fixed = cell[target]
-                for a in alternatives(approved):
-                    if fixed is None or fixed == a:
-                        cell[target] = a
-                        table[tuple(cell)] -= 1
-        factors.append((axes, table))
+            statements = ballot.statements
+            steps = [step[k] for k in ballot.scope]
+            if j in ballot.scope:
+                # A premise on the target itself fixes its value: only
+                # that alternative, if approved, satisfies the pair.
+                t = ballot.scope.index(j)
+                steps[t] = 0
+                masks.extend(mask & 1 << premise[t] for premise, mask in statements.items())
+            else:
+                masks.extend(statements.values())
+            bases.extend([offset + sum(map(operator.mul, steps, p)) for p in statements])
+            strides.extend([step[j]] * len(statements))
+        shapes.append(shape)
+        sizes.append(size)
+        fills.append(len(ballots))
+        offset += size
 
+    # Every pair starts dissatisfied in every cell of its table, and each of
+    # its approved cells satisfies it there once.  The masks are expanded
+    # from their little-endian bytes, which holds masks of any width.
+    width = (max(dom, default=1) + 7) // 8
+    packed = map(int.to_bytes, masks, itertools.repeat(width), itertools.repeat("little"))
+    bits = np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(len(masks), width)
+    rows, alts = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
+    cells = np.asarray(bases, dtype=np.intp)[rows]
+    cells += np.asarray(strides, dtype=np.intp)[rows] * alts
+    flat = np.repeat(np.asarray(fills, dtype=dtype), sizes)
+    np.subtract(flat, np.bincount(cells, minlength=offset), out=flat, casting="unsafe")
+
+    factors = []
+    offset = 0
+    for axes, shape, size in zip(groups, shapes, sizes):
+        factors.append((axes, flat[offset:offset + size].reshape(shape)))
+        offset += size
     return CostModel(dom=dom, n_pairs=n_pairs, factors=tuple(factors))
 
 
@@ -166,10 +207,11 @@ def eliminate(model: CostModel, order) -> tuple:
 
     Any order gives the minimum cost; the order decides the table sizes and
     which minimizer is returned.  Eliminating the issues in descending index
-    order returns the lexicographically first minimizing outcome.  Each
-    argmin table is stored in the smallest unsigned type that holds its
-    issue's alternatives.  The bucket tables hold ``predict_entries``
-    entries in total, which ``compile_cost_model`` bounds for its order.
+    order returns the lexicographically first minimizing outcome.  The
+    bucket tables hold ``predict_entries`` entries in total, which
+    ``compile_cost_model`` bounds for its order.  Each is freed once its
+    minimum is passed on; the traceback reads the factor tables and those
+    minima again, so no argmin table is kept.
     """
     import numpy as np
 
@@ -181,15 +223,12 @@ def eliminate(model: CostModel, order) -> tuple:
         buckets[min(map(rank.__getitem__, axes))].append((axes, table))
 
     cost = 0
-    rests = []
-    choices = []
     for t, v in enumerate(order):
-        # The table's first axis is v and the rest follow in ascending order,
-        # so each alternative of v owns one contiguous slab.  Every part's
-        # axes include v, since a factor or message joins the bucket of its
-        # first-eliminated issue.  Its v axis moves to the front; then a
-        # reshape that gives the part's axes their sizes and every other
-        # scope axis size 1 broadcasts it over the table.
+        # The table's first axis is v and the rest follow in ascending order.
+        # Every part's axes include v, since a factor or message joins the
+        # bucket of its first-eliminated issue.  Its v axis moves to the
+        # front; then a reshape that gives the part's axes their sizes and
+        # every other scope axis size 1 broadcasts it over the table.
         rest = tuple(sorted(set().union(*(axes for axes, _ in buckets[t])) - {v}))
         scope = (v, *rest)
         table = np.zeros([dom[k] for k in scope], dtype=model.dtype)
@@ -198,24 +237,25 @@ def eliminate(model: CostModel, order) -> tuple:
             part = part.transpose(i, *range(i), *range(i + 1, part.ndim))
             shape = [dom[k] if k in axes else 1 for k in scope]
             np.add(table, part.reshape(shape), out=table)
-        buckets[t] = None
-        # Minimum and argmin over v, one slab at a time; only a strictly
-        # smaller cost moves the argmin, so ties go to the lowest alternative.
-        message = table[0]
-        choice = np.zeros(message.shape, dtype=np.min_scalar_type(dom[v] - 1))
-        for a in range(1, dom[v]):
-            np.copyto(choice, a, where=table[a] < message)
-            message = np.minimum(message, table[a])
-        choices.append(choice)
+        message = table.min(axis=0)
+        del table  # freed before the next bucket's table is allocated
         if rest:
             buckets[min(map(rank.__getitem__, rest))].append((rest, message))
         else:
             cost += int(message)
-        rests.append(rest)
 
     # Every issue of a bucket's rest is eliminated later, so its value is
-    # set before the bucket's own issue.
+    # set before the bucket's own issue.  The bucket's parts, read at those
+    # values with v free, sum to the table's column over v; argmin takes
+    # the first minimum, so ties go to the lowest alternative.  A bucket
+    # with no parts leaves v at 0.
     outcome = [0] * len(dom)
     for t in range(len(order) - 1, -1, -1):
-        outcome[order[t]] = int(choices[t][tuple(outcome[k] for k in rests[t])])
+        v = order[t]
+        columns = [
+            part[tuple(slice(None) if k == v else outcome[k] for k in axes)]
+            for axes, part in buckets[t]
+        ]
+        if columns:
+            outcome[v] = int(sum(columns[1:], columns[0]).argmin())
     return cost, tuple(outcome)

@@ -188,8 +188,8 @@ class Violation:
 def alternatives(mask: int) -> tuple:
     """The alternative indices set in an approval mask, ascending.
 
-    Cached, since a profile holds few distinct masks and compiling its cost
-    tables reads one per statement.
+    Cached, since a profile holds few distinct masks and serializing it
+    reads one per statement.
     """
     if mask < 0:
         raise ValueError(f"approval mask {mask} is negative")

@@ -19,7 +19,11 @@ and a nice decomposition's bags straight off the data, for tests that need
 them as references, and ``reference_components`` splits the global
 dependency graph with networkx.  ``per_component_solve`` solves each
 component alone on its ``naive_restrict_profile`` sub-profile, the
-reference for the dispatcher's one solve per route.
+reference for the dispatcher's one solve per route.  ``reference_cost_model``
+fills the factor tables one approved cell at a time and
+``reference_eliminate`` keeps an argmin table per bucket for its traceback:
+plain forms of ``_scan``'s compiler and kernel, the references for their
+cells and their tie-breaks.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ from cmsvote.analysis import (
     heuristic_tree_decomposition,
     make_nice,
 )
+from cmsvote._scan import CostModel, group_by_axes
 from cmsvote.mincut import TwoMonotoneConstraint
-from cmsvote.model import approve, is_satisfied, issue_ballot, make_profile
+from cmsvote.model import alternatives, approve, is_satisfied, issue_ballot, make_profile
 
 P1_DOC = """\
 cmsprofile 1
@@ -325,6 +330,75 @@ def naive_treewidth_outcome(profile):
             assignment[node.vertex] = int(np.argmin(tables[id(child)][index]))
         stack.extend(node.children)
     return tuple(assignment[j] for j in range(profile.m))
+
+
+def reference_cost_model(profile) -> CostModel:
+    """The profile's factor tables, one ``np.full`` per axis tuple with one
+    decrement per approved (premise, alternative) cell, and no budget check.
+
+    A premise that names the target issue itself fixes its value, so only
+    that alternative counts, if approved.
+    """
+    dom = profile.domain_sizes()
+    pairs = ((j, b) for voter in profile.voters for j, b in voter.ballots.items())
+    groups = group_by_axes(pairs, dom)
+    n_pairs = sum(map(len, groups.values()))
+    dtype = np.int16 if n_pairs < 2**15 else np.int32 if n_pairs < 2**31 else np.int64
+    factors = []
+    for axes, ballots in groups.items():
+        table = np.full([dom[k] for k in axes], len(ballots), dtype=dtype)
+        pos = {k: t for t, k in enumerate(axes)}
+        for j, ballot in ballots:
+            target = pos[j]
+            for premise, approved in ballot.statements.items():
+                cell = [None] * len(axes)
+                for k, v in zip(ballot.scope, premise):
+                    cell[pos[k]] = v
+                fixed = cell[target]
+                for a in alternatives(approved):
+                    if fixed is None or fixed == a:
+                        cell[target] = a
+                        table[tuple(cell)] -= 1
+        factors.append((axes, table))
+    return CostModel(dom=dom, n_pairs=n_pairs, factors=tuple(factors))
+
+
+def reference_eliminate(model, order):
+    """(cost, outcome) by bucket elimination along ``order`` that stores one
+    argmin table per bucket, found one alternative at a time: only a
+    strictly smaller cost moves it, so ties go to the lowest alternative."""
+    order = list(order)
+    dom = model.dom
+    rank = {v: t for t, v in enumerate(order)}
+    buckets = [[] for _ in order]
+    for axes, table in model.factors:
+        buckets[min(map(rank.__getitem__, axes))].append((axes, table))
+    cost = 0
+    rests = []
+    choices = []
+    for t, v in enumerate(order):
+        rest = tuple(sorted(set().union(*(axes for axes, _ in buckets[t])) - {v}))
+        scope = (v, *rest)
+        table = np.zeros([dom[k] for k in scope], dtype=model.dtype)
+        for axes, part in buckets[t]:
+            i = axes.index(v)
+            part = part.transpose(i, *range(i), *range(i + 1, part.ndim))
+            table += part.reshape([dom[k] if k in axes else 1 for k in scope])
+        message = table[0]
+        choice = np.zeros(message.shape, dtype=np.min_scalar_type(dom[v] - 1))
+        for a in range(1, dom[v]):
+            np.copyto(choice, a, where=table[a] < message)
+            message = np.minimum(message, table[a])
+        choices.append(choice)
+        if rest:
+            buckets[min(map(rank.__getitem__, rest))].append((rest, message))
+        else:
+            cost += int(message)
+        rests.append(rest)
+    outcome = [0] * len(dom)
+    for t in range(len(order) - 1, -1, -1):
+        outcome[order[t]] = int(choices[t][tuple(outcome[k] for k in rests[t])])
+    return cost, tuple(outcome)
 
 
 def naive_majority_alternative(profile, issue):

@@ -25,7 +25,7 @@ from cmsvote.analysis import BRUTE, applicable_routes
 from cmsvote.cli import main
 from cmsvote.dispatch import restrict_profile
 from cmsvote.mincut import build_network, compile_constraints
-from cmsvote.model import approve, issue_ballot, make_profile
+from cmsvote.model import approve, issue_ballot, make_profile, validate_profile
 from cmsvote.textio import serialize_profile
 
 from helpers import (
@@ -35,6 +35,8 @@ from helpers import (
     naive_optimum,
     random_cnf,
     random_constraints,
+    reference_cost_model,
+    reference_eliminate,
     traced_peak,
 )
 
@@ -57,6 +59,59 @@ def binary_clique(m):
         for j, k in itertools.combinations(range(m), 2)
     ]
     return make_profile(binary_issues(m), voters)
+
+
+def forbid_numpy(monkeypatch):
+    """Stand in for numpy, in code that imports it inside a function, with an
+    object that fails on any use, so that code allocates no array at all."""
+
+    class Unusable:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was used")
+
+    monkeypatch.setitem(sys.modules, "numpy", Unusable())
+
+
+def scan_profile(seed):
+    """Seeded profile for the reference comparisons: 1 to 6 issues of 2 to 6
+    alternatives and ballots with premise scopes of 0 to 3 issues.  Some
+    ballots are never satisfied, some voters repeat the previous voter's
+    ballots, every third profile leaves its last issue without a factor and
+    every fifth is an all-tie profile, whose ballots either approve every
+    alternative at every premise or are never satisfied."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 6)
+    dom = [rng.randint(2, 6) for _ in range(m)]
+    free = m - 1 if m > 1 and seed % 3 == 0 else None
+    tie = seed % 5 == 0
+    voters = []
+    for i in range(rng.randint(1, 5)):
+        if voters and rng.random() < 0.25:
+            voters.append((f"v{i}", voters[-1][1]))
+            continue
+        ballots = []
+        for j in rng.sample(range(m), rng.randint(0, m)):
+            if j == free:
+                continue
+            others = [k for k in range(m) if k not in (j, free)]
+            scope = sorted(rng.sample(others, rng.randint(0, min(3, len(others)))))
+            premises = list(itertools.product(*(range(dom[k]) for k in scope)))
+            full = (1 << dom[j]) - 1
+            if scope and rng.random() < 0.15:
+                statements = {}
+            elif tie:
+                statements = dict.fromkeys(premises, full)
+            else:
+                chosen = rng.sample(premises, rng.randint(1, len(premises)))
+                statements = {p: rng.randint(1, full) for p in chosen}
+            ballots.append(issue_ballot(j, scope, statements))
+        voters.append((f"v{i}", ballots))
+    return make_profile([(f"x{j}", tuple(map(str, range(d)))) for j, d in enumerate(dom)], voters)
+
+
+def table_cells(model):
+    """Each factor's axes, count type and cells."""
+    return [(axes, table.dtype, table.tolist()) for axes, table in model.factors]
 
 
 def random_profile(seed):
@@ -92,7 +147,7 @@ class TestScan:
 
     def test_predicted_entries_are_allocated(self, monkeypatch):
         # Every bucket table starts as np.zeros over the bucket's scope in the
-        # model's count type; argmin tables take an unsigned type.
+        # model's count type, and nothing else in the kernel calls np.zeros.
         allocated = []
         zeros = np.zeros
 
@@ -111,9 +166,59 @@ class TestScan:
                 allocated.clear()
                 _scan.eliminate(compiled, order)
                 predicted = _scan.predict_entries(axes, compiled.dom, order)
-                counts = [size for dtype, size in allocated if dtype == compiled.dtype]
-                assert sum(counts) == predicted, (seed, order)
-                assert len(counts) == profile.m
+                assert {dtype for dtype, _ in allocated} == {compiled.dtype}
+                assert sum(size for _, size in allocated) == predicted, (seed, order)
+                assert len(allocated) == profile.m
+
+    def test_matches_the_reference_compiler_and_kernel(self):
+        # Tables equal cell for cell in the same count type, and the same
+        # cost and minimizer along descending and random orders.
+        seen = dict.fromkeys(("no factor", "all tie", "never satisfied", "repeated"), 0)
+        for seed in range(300):
+            profile = scan_profile(seed)
+            reference = reference_cost_model(profile)
+            tie = all(table.min() == table.max() for _, table in reference.factors)
+            orders = [list(range(profile.m - 1, -1, -1))]
+            for shuffle in range(2):
+                orders.append(list(range(profile.m)))
+                random.Random(seed * 2 + shuffle).shuffle(orders[-1])
+            for order in orders:
+                compiled = _scan.compile_cost_model(profile, order)
+                assert compiled.dtype is reference.dtype, seed
+                assert table_cells(compiled) == table_cells(reference), seed
+                cost, outcome = _scan.eliminate(compiled, order)
+                assert (cost, outcome) == reference_eliminate(reference, order), (seed, order)
+                assert total_dissatisfaction(profile, outcome) == cost, (seed, order)
+                assert not tie or outcome == (0,) * profile.m, (seed, order)
+            ballots = [ballot for voter in profile.voters for ballot in voter.ballots.values()]
+            seen["no factor"] += len(set().union(*(a for a, _ in reference.factors))) < profile.m
+            seen["all tie"] += tie and bool(ballots)
+            seen["never satisfied"] += any(not ballot.statements for ballot in ballots)
+            seen["repeated"] += len(set(map(id, ballots))) < len(ballots)
+        assert min(seen.values()) > 10, seen
+
+    def test_self_premise_tables_sum_to_every_outcome_cost(self):
+        # classify and the parser reject a premise on the target issue, but
+        # the compiler takes any profile it is given: such a premise fixes the
+        # target's value, so only that alternative, if approved, satisfies.
+        profile = make_profile(
+            [("A", ("0", "1", "2")), ("B", ("0", "1", "2")), ("C", ("0", "1"))],
+            [
+                ("u", [issue_ballot(1, (0, 1), {(0, 0): {0, 1}, (0, 2): {1}, (2, 0): {2}})]),
+                ("w", [issue_ballot(1, (0,), {(0,): {0}, (2,): {1, 2}}), approve(2, {1})]),
+                ("x", [issue_ballot(2, (1,), {(1,): {0}})]),
+            ],
+        )
+        assert [v.code for v in validate_profile(profile)] == ["self-premise"]
+        compiled = _scan.compile_cost_model(profile, range(profile.m))
+        for outcome in itertools.product(*map(range, profile.domain_sizes())):
+            cost = sum(
+                int(table[tuple(outcome[k] for k in axes)])
+                for axes, table in compiled.factors
+            )
+            assert cost == total_dissatisfaction(profile, outcome), outcome
+        assert table_cells(compiled) == table_cells(reference_cost_model(profile))
+        assert descending(profile) == naive_optimum(profile)
 
     def test_factor_tables_sum_to_every_outcome_cost(self):
         # 20 profiles with scopes up to 3, then 200 with single-premise scopes
@@ -205,11 +310,9 @@ class TestScan:
         monkeypatch.setattr(_scan, "MAX_TABLE_ENTRIES", 26)
         assert solve_brute(profile).cost == naive_optimum(profile)[0]
 
-        def no_tables(*args, **kwargs):
-            raise AssertionError("a factor table was allocated")
-
-        # the compiler imports numpy inside the function: patch numpy itself
-        monkeypatch.setattr(np, "full", no_tables)
+        # The compiler imports numpy inside the function, after which it
+        # must raise before using numpy at all.
+        forbid_numpy(monkeypatch)
         monkeypatch.setattr(_scan, "MAX_TABLE_ENTRIES", 25)
         with pytest.raises(BudgetExceeded, match="need 26 table entries, limit is 25"):
             solve_brute(profile)
@@ -222,7 +325,7 @@ class TestScan:
         assert profile.n == 253
         solution, peak = traced_peak(lambda: solve_brute(profile))
         assert solution.cost == 121
-        assert peak < 100 * 2**20
+        assert peak < 32 * 2**20
 
     def test_raised_budget_fails_before_bucket_tables(self):
         # 2^27 outcomes: descending elimination would need 2^28 - 2 table
@@ -351,11 +454,7 @@ class TestEntryLimit:
         assert "-> INTRACTABLE" in solved.err
         assert solved.err.endswith("error: no applicable solver route\n")
 
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("a table was allocated")
-
-        monkeypatch.setattr(np, "full", no_allocation)
-        monkeypatch.setattr(np, "zeros", no_allocation)
+        forbid_numpy(monkeypatch)
         with pytest.raises(Intractable):
             solve_profile(profile)
 
