@@ -13,8 +13,9 @@ The compiler fills the tables in one counting pass.  They lie in one flat
 buffer, one view per axis tuple, each starting at its number of pairs.  For
 each statement it gathers the flat index of its premise cell with the
 target at 0, the target's stride and the approval mask; numpy expands the
-masks into the approved cells, and one ``bincount`` takes each cell's
-count of satisfied pairs off the fill.
+masks into the approved cells, and one unbuffered ``subtract.at`` takes one
+off the fill per satisfied pair, in place, with no count array beside the
+tables.
 
 Table layout and guards:
 
@@ -141,7 +142,8 @@ def compile_cost_model(profile: Profile, order) -> CostModel:
     cells = np.asarray(bases, dtype=np.intp)[rows]
     cells += np.asarray(strides, dtype=np.intp)[rows] * alts
     flat = np.repeat(np.asarray(fills, dtype=dtype), sizes)
-    np.subtract(flat, np.bincount(cells, minlength=offset), out=flat, casting="unsafe")
+    # A one of the tables' own type keeps numpy on its cast-free fast path.
+    np.subtract.at(flat, cells, dtype(1))
 
     factors = []
     offset = 0

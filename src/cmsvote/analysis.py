@@ -7,6 +7,7 @@ id so reports and decompositions are reproducible run to run.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -261,8 +262,16 @@ def is_group_dichotomous(profile: Profile):
 _ZERO = 0b01  # approval masks of {0}, {1} and {0, 1}
 _ONE = 0b10
 _BOTH = 0b11
-_LOW_SHAPES = (_ZERO, _BOTH)  # the approval sets allowed at the all-0 premise
-_HIGH_SHAPES = (_ONE, _BOTH)  # and at the all-1 premise
+
+
+@functools.lru_cache(maxsize=16)  # a few scope sizes recur; sets grow with size
+def _fitting_statements(size) -> frozenset:
+    """The (premise, approval mask) statements of group-dichotomous shape in a
+    conditional ballot on ``size`` scope issues: {0} or {0, 1} at the all-0
+    premise, {1} or {0, 1} at the all-1 premise.  A ballot has the shape
+    when each of its statements is one of these."""
+    zeros, ones = (0,) * size, (1,) * size
+    return frozenset([(zeros, _ZERO), (zeros, _BOTH), (ones, _ONE), (ones, _BOTH)])
 
 
 def dichotomy_terms(ballot):
@@ -270,47 +279,34 @@ def dichotomy_terms(ballot):
 
     ``low`` and ``high`` are the approval masks at the all-0 and the all-1
     premise, None where the ballot has no such statement.  The shape holds
-    when no other premise has a statement, ``low`` is {0} or {0, 1} and
-    ``high`` is {1} or {0, 1} (masks ``_ZERO`` or ``_BOTH`` and ``_ONE`` or
-    ``_BOTH``).  The target issue's domain is not checked.
+    when every statement is one of ``_fitting_statements``.  The target
+    issue's domain is not checked.
     """
-    statements = ballot.statements
     size = len(ballot.scope)
-    low = statements.get((0,) * size)
-    high = statements.get((1,) * size)
-    if (
-        len(statements) != (low is not None) + (high is not None)
-        or (low is not None and low not in _LOW_SHAPES)
-        or (high is not None and high not in _HIGH_SHAPES)
-    ):
+    statements = ballot.statements
+    if not statements.items() <= _fitting_statements(size):
         return None
-    return low, high
+    return statements.get((0,) * size), statements.get((1,) * size)
 
 
 def _ballot_dichotomy_witness(voter: int, ballot, dom):
-    """The first statement, in premise order, of a conditional ballot that
-    breaks the shape ``dichotomy_terms`` checks, or None when none does."""
+    """The lowest premise of a conditional ballot whose statement does not fit
+    the group-dichotomous shape, or None when every statement fits."""
     j = ballot.issue
     if dom[j] != 2:
         return DichotomyWitness(
             voter, j, None, f"conditional ballot on non-binary issue ({dom[j]} alternatives)"
         )
-    size = len(ballot.scope)
-    zeros, ones = (0,) * size, (1,) * size
-    premise = None
-    for p, approved in ballot.statements.items():
-        if p == zeros and approved in _LOW_SHAPES or p == ones and approved in _HIGH_SHAPES:
-            continue
-        if premise is None or p < premise:
-            premise = p
-    if premise is None:
+    statements = ballot.statements
+    fitting = _fitting_statements(len(ballot.scope))
+    if statements.items() <= fitting:
         return None
+    premise, approved = min(statements.items() - fitting)
     return DichotomyWitness(
         voter,
         j,
         premise,
-        f"statement {premise} -> {list(alternatives(ballot.statements[premise]))} "
-        "matches no allowed shape",
+        f"statement {premise} -> {list(alternatives(approved))} matches no allowed shape",
     )
 
 

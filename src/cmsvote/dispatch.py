@@ -1,15 +1,16 @@
-"""Route-wise solving: classify, group the components by route, solve, merge.
+"""Job-wise solving: classify, list the jobs, solve them in one loop, merge.
 
 The objective is additive over the connected components of the global
 dependency graph.  ``classify`` picks each component's route, and
 ``applicable_routes`` lists the solvers a forced method or cross-validation
-may run; the routing rule lives in ``analysis`` alone.  An isolated issue
-(``MAJORITY``) is decided by one ``majority_alternative`` call, which walks
-its ballots once and returns the winning alternative with its cost.  The
-other components are grouped by route, in component order, and each group
-gets one sub-profile over the ascending union of its issues and one solver
-call.  The components share no ballot, so each gets the outcome it would
-get alone:
+may run; the routing rule lives in ``analysis`` alone.  A job is a route
+and the components it solves at once.  Each route gets one job, in the
+routes' order of first use, except that each isolated issue (``MAJORITY``)
+is a job of its own, decided by one ``majority_alternative`` call; under
+cross-validation each component is a job.  Any other job gets one
+sub-profile over the ascending union of its components' issues and one
+solver call.  The components share no ballot, so each gets the outcome it
+would get alone:
 
 - ``MINCUT`` solves one network whose gadgets are disjoint apart from s and
   t.  A maximum flow's residual source side is the union of the
@@ -22,16 +23,16 @@ get alone:
   component's issues in the order it would alone.
 
 Admission stays the compiler's.  Table entries add across components, so
-when ``_scan.check_entries`` refuses a group's union, its components are
-solved one at a time.  That per-component path is the one cross-validation
-runs, solving each component by every applicable route.
+when ``_scan.check_entries`` refuses a job of several components, each
+becomes a job of its own, solved next.  Cross-validation solves each job's
+sub-profile again by every other applicable route and requires equal costs.
 
 A sub-profile keeps only the voters with a ballot on its issues, so building
 it and re-verifying its solution cost O(its ballots), not O(n); the
 sub-solution's ``per_voter`` lists those voters only.  The dispatcher reads
 just each sub-solution's outcome and cost.  The merged outcome's cost is
 recomputed over every voter of the full profile and checked against the sum
-of the parts; any disagreement aborts.  When one group is the whole profile,
+of the parts; any disagreement aborts.  When one job is the whole profile,
 the solver's own verified solution is returned instead, unless
 cross-validation is on.
 """
@@ -168,36 +169,6 @@ def _union_decomposition(comps, issues) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def _solve_component(
-    profile: Profile, comp, route: str, assignment: dict, cross_validate: bool
-) -> int:
-    """Solve one component alone into ``assignment`` and return its cost.
-    With ``cross_validate``, every other applicable route must agree on the
-    cost."""
-    sub = None
-    if route == MAJORITY:
-        (issue,) = comp.issues
-        assignment[issue], cost = majority_alternative(profile, issue)
-    else:
-        sub = restrict_profile(profile, comp.issues)
-        solution = _solve(route, [comp], comp.issues, sub)
-        assignment.update(zip(comp.issues, solution.outcome))
-        cost = solution.cost
-    if cross_validate:
-        checked = [cost]
-        for other in applicable_routes(comp):
-            if other == route:
-                continue
-            if sub is None:
-                sub = restrict_profile(profile, comp.issues)
-            checked.append(_solve(other, [comp], comp.issues, sub).cost)
-        if len(set(checked)) > 1:
-            raise InternalMismatch(
-                f"solvers disagree on component {comp.issues}: {checked}"
-            )
-    return cost
-
-
 def _route_override(comp, method: str, report: AnalysisReport) -> str:
     route = {"brute": BRUTE, "mincut": MINCUT, "treewidth": TREEWIDTH}[method]
     if route not in applicable_routes(comp):
@@ -206,11 +177,11 @@ def _route_override(comp, method: str, report: AnalysisReport) -> str:
 
 
 def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solution:
-    """Solve route by route and merge; raises Intractable with the analysis
+    """Solve job by job and merge; raises Intractable with the analysis
     report when some component has no applicable route."""
     report = classify(profile)
 
-    plan = []
+    jobs = []  # (route, components solved at once)
     groups = {}  # route -> its components; routes in order of first use
     for comp in report.components:
         if config.method != "auto":
@@ -219,41 +190,56 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
             route = comp.route
             if route == INTRACTABLE:
                 raise Intractable(report)
-        plan.append((comp, route))
         groups.setdefault(route, []).append(comp)
+        if config.cross_validate:
+            jobs.append((route, (comp,)))
+    if not config.cross_validate:
+        for route, comps in groups.items():
+            if route == MAJORITY:
+                jobs += [(route, (comp,)) for comp in comps]
+            else:
+                jobs.append((route, comps))
+    jobs.reverse()  # a stack: the next job is popped off the end
 
     assignment = {}
     component_total = 0
-    if config.cross_validate:
-        for comp, route in plan:
-            component_total += _solve_component(
-                profile, comp, route, assignment, cross_validate=True
-            )
-    else:
-        for route, comps in groups.items():
-            if route != MAJORITY:
-                issues = sorted(j for comp in comps for j in comp.issues)
-                sub = restrict_profile(profile, issues)
-                try:
-                    solution = _solve(route, comps, issues, sub)
-                except BudgetExceeded:
-                    if len(comps) == 1:
-                        raise
-                    # The union's entries are its components' sum; each
-                    # component may still fit alone.
-                else:
-                    if sub is profile:
-                        # One route's components are the whole profile, and
-                        # the solver has verified its outcome over every
-                        # voter already.
-                        return solution
-                    assignment.update(zip(issues, solution.outcome))
-                    component_total += solution.cost
-                    continue
-            for comp in comps:
-                component_total += _solve_component(
-                    profile, comp, route, assignment, cross_validate=False
+    while jobs:
+        route, comps = jobs.pop()
+        sub = None
+        if route == MAJORITY:
+            (issue,) = comps[0].issues
+            assignment[issue], cost = majority_alternative(profile, issue)
+        else:
+            issues = sorted(j for comp in comps for j in comp.issues)
+            sub = restrict_profile(profile, issues)
+            try:
+                solution = _solve(route, comps, issues, sub)
+            except BudgetExceeded:
+                if len(comps) == 1:
+                    raise
+                # The union's entries are its components' sum; each
+                # component may still fit alone, and is solved next.
+                jobs += [(route, (comp,)) for comp in reversed(comps)]
+                continue
+            if sub is profile and not config.cross_validate:
+                # The job's components are the whole profile, and the
+                # solver has verified its outcome over every voter already.
+                return solution
+            assignment.update(zip(issues, solution.outcome))
+            cost = solution.cost
+        if config.cross_validate:
+            (comp,) = comps
+            checked = [cost]
+            for other in applicable_routes(comp):
+                if other != route:
+                    if sub is None:
+                        sub = restrict_profile(profile, comp.issues)
+                    checked.append(_solve(other, comps, comp.issues, sub).cost)
+            if len(set(checked)) > 1:
+                raise InternalMismatch(
+                    f"solvers disagree on component {comp.issues}: {checked}"
                 )
+        component_total += cost
 
     outcome = tuple(assignment[j] for j in range(profile.m))
     solution = make_solution(profile, outcome, "+".join(r.lower() for r in groups))

@@ -10,7 +10,7 @@ so the tables stay as small as the decomposition's width allows.  Among
 minimizers, each issue takes the lowest alternative that minimizes its
 bucket given the issues eliminated after it.  The compiler checks the
 tables' entries against ``_scan.MAX_TABLE_ENTRIES`` before it allocates
-any.  ``dispatch`` passes one decomposition per TREEWIDTH group: the
+any.  ``dispatch`` passes one decomposition per TREEWIDTH job: the
 decompositions ``classify`` kept for its components, hung off one empty
 bag, or a lone component's own.
 """

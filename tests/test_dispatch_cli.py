@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmsvote import (
+    InternalMismatch,
     Intractable,
     _scan,
     analysis,
@@ -25,6 +26,7 @@ from cmsvote import (
     solve_mincut,
     solve_profile,
 )
+from cmsvote.analysis import applicable_routes
 from cmsvote.cli import main
 from cmsvote.dispatch import (
     METHODS,
@@ -32,7 +34,14 @@ from cmsvote.dispatch import (
     majority_alternative,
     restrict_profile,
 )
-from cmsvote.model import approve, issue_ballot, make_profile, total_dissatisfaction
+from cmsvote.model import (
+    IssueBallot,
+    approve,
+    issue_ballot,
+    make_profile,
+    make_solution,
+    total_dissatisfaction,
+)
 from cmsvote.textio import serialize_profile
 
 from helpers import (
@@ -465,6 +474,110 @@ class TestRouteWise:
         # The refused union, then each component alone.
         union = sum(len(c.issues) for c in comps)
         assert solved == [union] + [len(c.issues) for c in comps]
+
+
+def side_by_side(*profiles):
+    """The profiles' disjoint union: the t-th profile's issues follow the
+    earlier profiles' issues, and its names carry the suffix ``t``."""
+    issues, voters = [], []
+    for t, profile in enumerate(profiles):
+        offset = len(issues)
+        issues += [(f"{issue.name}{t}", issue.alternatives) for issue in profile.issues]
+        voters += [
+            (
+                f"{voter.name}_{t}",
+                [
+                    IssueBallot(
+                        b.issue + offset, tuple(k + offset for k in b.scope), b.statements
+                    )
+                    for b in voter.ballots.values()
+                ],
+            )
+            for voter in profile.voters
+        ]
+    return make_profile(issues, voters)
+
+
+class TestChecks:
+    """The re-evaluations ``solve_profile`` runs on its parts and, under
+    cross-validation, on every component."""
+
+    def test_cross_validation_solves_every_component_by_every_route(
+        self, monkeypatch
+    ):
+        profile = side_by_side(multi_component_profile(), multi_component_profile())
+        comps = classify(profile).components
+        assert sorted(c.route for c in comps) == sorted(
+            ["MAJORITY", "MINCUT", "TREEWIDTH"] * 2
+        )
+        calls = []
+
+        def counting(route, solver):
+            def solve(sub, *args):
+                calls.append((route, tuple(issue.name for issue in sub.issues)))
+                return solver(sub, *args)
+
+            return solve
+
+        for route, name in [
+            ("MINCUT", "solve_mincut"),
+            ("TREEWIDTH", "solve_treewidth"),
+            ("BRUTE", "solve_brute"),
+        ]:
+            monkeypatch.setattr(dispatch, name, counting(route, getattr(dispatch, name)))
+        majority = dispatch.majority_alternative
+
+        def counting_majority(profile, issue):
+            calls.append(("MAJORITY", (profile.issues[issue].name,)))
+            return majority(profile, issue)
+
+        monkeypatch.setattr(dispatch, "majority_alternative", counting_majority)
+        checked = solve_profile(profile, SolveConfig(cross_validate=True))
+        expected = [
+            (route, tuple(profile.issues[j].name for j in comp.issues))
+            for comp in comps
+            for route in {comp.route, *applicable_routes(comp)}
+        ]
+        assert sorted(calls) == sorted(expected)
+        assert len(expected) == 2 * (3 + 3 + 2)
+        assert checked == solve_profile(profile)
+
+    def test_cross_validation_catches_a_worse_outcome(self, monkeypatch):
+        # BRUTE checks the TREEWIDTH component (3, 4), whose costs run 0 to 2;
+        # a verified outcome of cost 2 must not pass.
+        profile = multi_component_profile()
+        brute = dispatch.solve_brute
+
+        def worst(sub):
+            if [issue.name for issue in sub.issues] != ["D", "E"]:
+                return brute(sub)
+            outcomes = itertools.product(*map(range, sub.domain_sizes()))
+            outcome = max(outcomes, key=lambda o: total_dissatisfaction(sub, o))
+            return make_solution(sub, outcome, "brute")
+
+        monkeypatch.setattr(dispatch, "solve_brute", worst)
+        assert solve_profile(profile).cost == naive_optimum(profile)[0]
+        with pytest.raises(
+            InternalMismatch, match=r"solvers disagree on component \(3, 4\): \[0, 2\]"
+        ):
+            solve_profile(profile, SolveConfig(cross_validate=True))
+
+    def test_merge_check_catches_a_wrong_part(self, monkeypatch):
+        profile = multi_component_profile()
+        optimum = naive_optimum(profile)[0]
+        majority = dispatch.majority_alternative
+
+        def one_more(profile, issue):
+            alt, cost = majority(profile, issue)
+            return alt, cost + 1
+
+        monkeypatch.setattr(dispatch, "majority_alternative", one_more)
+        with pytest.raises(
+            InternalMismatch,
+            match=f"component costs sum to {optimum + 1} but the merged outcome "
+            f"re-evaluates to {optimum}",
+        ):
+            solve_profile(profile)
 
 
 class TestBallotIndex:

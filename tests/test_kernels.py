@@ -12,13 +12,18 @@ import pytest
 
 from cmsvote import (
     BudgetExceeded,
+    InternalMismatch,
     Intractable,
     classify,
     gen_from_sat,
     gen_random,
+    mincut,
     solve_brute,
+    solve_mincut,
     solve_profile,
+    solve_treewidth,
     total_dissatisfaction,
+    treewidth,
 )
 from cmsvote import _flow, _scan
 from cmsvote.analysis import BRUTE, applicable_routes
@@ -327,6 +332,22 @@ class TestScan:
         assert solution.cost == 121
         assert peak < 32 * 2**20
 
+    def test_compile_counts_only_the_cells_it_hits(self):
+        # One ballot on issue 23 conditioned on the other 23 issues makes one
+        # 2^24-entry int16 table and satisfies its pair in one cell.  A count
+        # per table entry would take four times the table again.
+        premise = (1,) * 23
+        profile = make_profile(
+            binary_issues(24),
+            [("v", [issue_ballot(23, tuple(range(23)), {premise: {1}})])],
+        )
+        order = range(23, -1, -1)
+        model, peak = traced_peak(lambda: _scan.compile_cost_model(profile, order))
+        ((axes, table),) = model.factors
+        assert axes == tuple(range(24)) and table.dtype == np.int16
+        assert table.sum() == 2**24 - 1 and table[premise + (1,)] == 0
+        assert peak <= 1.25 * table.nbytes
+
     def test_raised_budget_fails_before_bucket_tables(self):
         # 2^27 outcomes: descending elimination would need 2^28 - 2 table
         # entries, over MAX_TABLE_ENTRIES.  The prediction stops at the
@@ -582,6 +603,44 @@ def chain_network(length, bottleneck):
     return SimpleNamespace(
         n_nodes=length + 2, source=source, sink=sink, out=out, to=to, cap=cap
     )
+
+
+class TestMismatchGuards:
+    """Each solver re-evaluates its outcome and refuses a kernel whose figure
+    disagrees.  A kernel patched to misreport by one must be caught."""
+
+    @pytest.mark.parametrize(
+        "module, solve",
+        [(_scan, solve_brute), (treewidth, solve_treewidth)],
+        ids=["brute", "treewidth"],
+    )
+    def test_elimination_reporting_a_lower_cost(self, monkeypatch, module, solve):
+        profile = gen_random(6, 4, d_max=3, delta_max=1, statement_density=0.5, seed=1)
+        assert solve(profile).cost == naive_optimum(profile)[0] == 6
+        original = module.eliminate
+
+        def lower(model, order):
+            cost, outcome = original(model, order)
+            return cost - 1, outcome
+
+        monkeypatch.setattr(module, "eliminate", lower)
+        with pytest.raises(InternalMismatch, match="bucket elimination .* cost 5 "):
+            solve(profile)
+
+    def test_flow_reporting_one_more_unit(self, monkeypatch):
+        profile = gen_random(
+            6, 4, delta_max=1, statement_density=0.6, seed=5, group_dichotomous=True
+        )
+        assert solve_mincut(profile).cost == naive_optimum(profile)[0] == 5
+        original = mincut.max_flow_min_cut
+
+        def over(network):
+            flow, side = original(network)
+            return flow + 1, side
+
+        monkeypatch.setattr(mincut, "max_flow_min_cut", over)
+        with pytest.raises(InternalMismatch, match="cut promises cost 6 "):
+            solve_mincut(profile)
 
 
 class TestMaxFlow:
