@@ -57,7 +57,7 @@ from .analysis import (
 from .brute import solve_brute
 from .errors import BudgetExceeded, InternalMismatch, Intractable
 from .mincut import solve_mincut
-from .model import IssueBallot, Profile, Solution, Voter, make_solution
+from .model import IssueBallot, Profile, Solution, Voter, make_solution, validate_profile
 from .treewidth import solve_treewidth
 
 METHODS = ("auto", "brute", "mincut", "treewidth")
@@ -178,7 +178,26 @@ def _route_override(comp, method: str, report: AnalysisReport) -> str:
 
 def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solution:
     """Solve job by job and merge; raises Intractable with the analysis
-    report when some component has no applicable route."""
+    report when some component has no applicable route.
+
+    A profile built through the API may hold ballots that ``validate_profile``
+    flags, such as a premise of the wrong length or out of its domain, or a
+    mask with bits past its target's domain.  They can make a compiler index
+    out of bounds, a solver's re-verification disagree or a forced route
+    inapplicable.  So when a solve fails that way, the profile is validated,
+    on that path only, and its first violation is raised as ValueError; a
+    valid profile's failure is raised as it is.
+    """
+    try:
+        return _solve_jobs(profile, config)
+    except (InternalMismatch, Intractable, IndexError) as exc:
+        problems = validate_profile(profile)
+        if problems:
+            raise ValueError(str(problems[0])) from exc
+        raise
+
+
+def _solve_jobs(profile: Profile, config: SolveConfig) -> Solution:
     report = classify(profile)
 
     jobs = []  # (route, components solved at once)

@@ -12,24 +12,28 @@ Profile documents::
     depends <target> on <issue>+
     end
 
-Tokens are whitespace-separated; ``#`` starts a comment.  Issues a voter
-never mentions default to unconditional approval of everything.  All ``cond``
-lines of one (voter, target) must agree on the premise issue set, and
-``approve``/``cond`` may not both appear for one target.  A ``depends`` line
-declares a conditional ballot's premise issues without any statement: such a
-ballot is never satisfied (the serializer only emits it for statement-free
-conditional ballots).  Duplicate premises are merged with a warning.
-Counts are ASCII digits without a leading zero, as the serializer writes
-them.
+Tokens are whitespace-separated; ``#`` starts a comment.  Lines are read by
+position, so ``if``, ``then`` and ``on`` are names like any other; issue and
+alternative names may not hold ``=`` or ``,`` (``_premise_name``), which no
+premise entry could name.  Issues a voter never mentions default to
+unconditional approval of everything.  An ``approve`` line is the statement
+of the empty premise, and all lines of one (voter, target) must agree on the
+scope, so ``approve`` and ``cond`` may not both appear for one target.  A
+``depends`` line declares a conditional ballot's scope without any
+statement: such a ballot is never satisfied (the serializer only emits it
+for statement-free conditional ballots).  Repeated premises are merged with
+a warning.  Counts are ASCII digits without a leading zero, as the
+serializer writes them.
 
 ``parse_profile`` reads a document in one pass over the rows that ``_rows``
-yields line by line, so no list of rows is held.  An approval set is read
-into an int mask (``model.alternatives`` lists its bits), and within one
-document each issue's approval tokens map to one remembered mask, so a
-repeated token list is not looked up again.  Every ballot gets its own
-statement dict.  Unconditional ballots that approve every alternative
-(``model.approves_all``) are dropped while parsing, as ``make_profile``
-drops them.
+yields line by line, so no list of rows is held.  Each ballot line kind
+parses its own syntax into a target, a scope and, but for ``depends``, a
+premise and approval tokens; one path then checks the scope, reads the
+approval set into an int mask (``model.alternatives`` lists its bits) and
+merges it.  Within one document each issue's approval tokens map to one
+remembered mask.  Every ballot gets its own statement dict.  Unconditional
+ballots that approve every alternative (``model.approves_all``) are dropped
+while parsing, as ``make_profile`` drops them.
 
 Solution documents::
 
@@ -104,16 +108,26 @@ def _signed_int(token):
     return int(token) if _is_count(token) else None
 
 
+def _issue(issue_index, ln, name):
+    """The index of the issue named ``name``, read on line ``ln``."""
+    j = issue_index.get(name)
+    if j is None:
+        raise ParseError(ln, f"unknown issue {name!r}")
+    return j
+
+
+def _unknown_alternative(ln, issue, name):
+    return ParseError(ln, f"unknown alternative {name!r} for issue {issue.name!r}")
+
+
 def parse_profile(text: str) -> Profile:
     """Parse a profile document; raises ParseError with a line number.
 
-    One pass over the rows as ``_rows`` yields them.  Ballots are assembled
-    canonical while the lines are read (sorted scope, aligned premises,
-    merged duplicates), so each equals what ``issue_ballot`` would build from
-    the same statements, and approve-all unconditional ballots are dropped
-    as ``make_profile`` drops them.  Each issue's approval tokens are read
-    into one int mask remembered within the document; every ballot gets its
-    own statement dict.
+    Ballots are assembled canonical while the lines are read (sorted scope,
+    aligned premises, merged duplicates), so each equals what
+    ``issue_ballot`` would build from the same statements, and approve-all
+    unconditional ballots are dropped as ``make_profile`` drops them.  The
+    module docstring describes the pass and the one ballot-line path.
     """
     rows = _rows(text)
     ln, tokens = _take(rows, 1, "'cmsprofile 1' header")
@@ -139,9 +153,12 @@ def parse_profile(text: str) -> Profile:
             raise ParseError(ln, f"issue {name!r} needs at least two alternatives")
         if name in issue_index:
             raise ParseError(ln, f"issue name {name!r} already used")
-        table = dict(zip(alts, range(len(alts))))
+        table = {a: v for v, a in enumerate(alts)}
         if len(table) != len(alts):
             raise ParseError(ln, f"issue {name!r} repeats an alternative name")
+        if not _premise_name("".join(tokens)):
+            bad = next(token for token in tokens[1:] if not _premise_name(token))
+            raise ParseError(ln, f"issue and alternative names may not hold '=' or ',': {bad!r}")
         issue_index[name] = len(issues)
         alt_index.append(table)
         issues.append(Issue(name, tuple(alts)))
@@ -154,40 +171,6 @@ def parse_profile(text: str) -> Profile:
         raise ParseError(ln, "profiles need at least one voter")
 
     approvals = [{} for _ in range(m)]  # per issue: alternative tokens -> mask
-
-    def approval(ln, j, alt_tokens):
-        table = alt_index[j]
-        approved = 0
-        try:
-            for a in alt_tokens:
-                approved |= 1 << table[a]
-        except KeyError:
-            raise unknown_alternative(ln, j, alt_tokens) from None
-        approvals[j][alt_tokens] = approved
-        return approved
-
-    def unknown_alternative(ln, j, names):
-        table = alt_index[j]
-        name = next(a for a in names if a not in table)
-        return ParseError(ln, f"unknown alternative {name!r} for issue {issues[j].name!r}")
-
-    def conditional_draft(drafts, ln, target, j, scope):
-        """The target's ballot for a cond or depends line over ``scope``."""
-        if len(set(scope)) != len(scope):
-            raise ParseError(ln, "premise repeats an issue")
-        if j in scope:
-            raise ParseError(ln, f"self-premise: {target!r} conditions on itself")
-        draft = drafts.get(j)
-        if draft is None:
-            draft = drafts[j] = IssueBallot(j, scope, {})
-        elif not draft.scope:
-            raise ParseError(ln, f"issue {target!r} already has an approval line")
-        elif draft.scope != scope:
-            raise ParseError(
-                ln, f"inconsistent scope for issue {target!r}: saw {draft.scope} before"
-            )
-        return draft
-
     voters = []
     voter_names = set()
     for _ in range(n):
@@ -201,21 +184,19 @@ def parse_profile(text: str) -> Profile:
 
         # target -> its ballot, canonical as read: the scope is sorted, each
         # premise follows it and repeated lines merge into one approval set.
-        # Only approve lines have the empty scope.
         drafts = {}
         for ln, tokens in rows:
+            # Each kind reads its own syntax into a target j, a scope and,
+            # unless it is a depends line, a premise and approval tokens.
             kind = tokens[0]
             if kind == "cond":
                 if len(tokens) < 6 or tokens[2] != "if":
                     raise ParseError(ln, _COND_SYNTAX)
-                target = tokens[1]
-                j = issue_index.get(target)
-                if j is None:
-                    raise ParseError(ln, f"unknown issue {target!r}")
+                j = _issue(issue_index, ln, tokens[1])
                 try:
                     then_at = tokens.index("then", 3)
                 except ValueError:
-                    raise ParseError(ln, _COND_SYNTAX)
+                    raise ParseError(ln, _COND_SYNTAX) from None
                 premise_text = "".join(tokens[3:then_at])
                 alt_tokens = tuple(tokens[then_at + 1 :])
                 if not premise_text or not alt_tokens:
@@ -230,49 +211,16 @@ def parse_profile(text: str) -> Profile:
                         raise ParseError(ln, f"unknown issue {issue_name!r}")
                     v = alt_index[k].get(alt_name)
                     if v is None:
-                        raise unknown_alternative(ln, k, (alt_name,))
+                        raise _unknown_alternative(ln, issues[k], alt_name)
                     pairs.append((k, v))
                 pairs.sort()
                 scope, premise = zip(*pairs)
-                # A draft over this scope passed conditional_draft's checks.
-                draft = drafts.get(j)
-                if draft is None or draft.scope != scope:
-                    draft = conditional_draft(drafts, ln, target, j, scope)
-                statements = draft.statements
-                approved = approvals[j].get(alt_tokens)
-                if approved is None:
-                    approved = approval(ln, j, alt_tokens)
-                if premise in statements:
-                    warnings.warn(
-                        f"line {ln}: duplicate premise for issue {target!r} merged",
-                        FormatWarning,
-                        stacklevel=2,
-                    )
-                    approved = approved | statements[premise]
-                statements[premise] = approved
             elif kind == "approve":
                 if len(tokens) < 3:
                     raise ParseError(ln, "expected 'approve <issue> <alt>+'")
-                target = tokens[1]
-                j = issue_index.get(target)
-                if j is None:
-                    raise ParseError(ln, f"unknown issue {target!r}")
-                draft = drafts.get(j)
-                if draft is not None and draft.scope:
-                    raise ParseError(ln, f"issue {target!r} already has conditional lines")
+                j = _issue(issue_index, ln, tokens[1])
+                scope = premise = ()
                 alt_tokens = tuple(tokens[2:])
-                approved = approvals[j].get(alt_tokens)
-                if approved is None:
-                    approved = approval(ln, j, alt_tokens)
-                if draft is None:
-                    drafts[j] = IssueBallot(j, (), {(): approved})
-                else:
-                    warnings.warn(
-                        f"line {ln}: duplicate approval for issue {target!r} merged",
-                        FormatWarning,
-                        stacklevel=2,
-                    )
-                    draft.statements[()] = approved | draft.statements[()]
             elif kind == "end":
                 if len(tokens) != 1:
                     raise ParseError(ln, "'end' takes no arguments")
@@ -280,19 +228,52 @@ def parse_profile(text: str) -> Profile:
             elif kind == "depends":
                 if len(tokens) < 4 or tokens[2] != "on":
                     raise ParseError(ln, "expected 'depends <target> on <issue>+'")
-                target = tokens[1]
-                j = issue_index.get(target)
-                if j is None:
-                    raise ParseError(ln, f"unknown issue {target!r}")
-                members = []
-                for name in tokens[3:]:
-                    k = issue_index.get(name)
-                    if k is None:
-                        raise ParseError(ln, f"unknown issue {name!r}")
-                    members.append(k)
-                conditional_draft(drafts, ln, target, j, tuple(sorted(members)))
+                j = _issue(issue_index, ln, tokens[1])
+                scope = tuple(sorted([_issue(issue_index, ln, name) for name in tokens[3:]]))
+                alt_tokens = None
             else:
                 raise ParseError(ln, f"unknown directive {kind!r}")
+
+            # One path for every kind from here on; tokens[1] names the
+            # target.  A draft over the same scope passed the scope checks.
+            draft = drafts.get(j)
+            if draft is None or draft.scope != scope:
+                if scope and len(set(scope)) != len(scope):
+                    raise ParseError(ln, "premise repeats an issue")
+                if j in scope:
+                    raise ParseError(ln, f"self-premise: {tokens[1]!r} conditions on itself")
+                if draft is None:
+                    draft = drafts[j] = IssueBallot(j, scope, {})
+                elif not draft.scope:
+                    raise ParseError(ln, f"issue {tokens[1]!r} already has an approval line")
+                elif not scope:
+                    raise ParseError(ln, f"issue {tokens[1]!r} already has conditional lines")
+                else:
+                    raise ParseError(
+                        ln, f"inconsistent scope for issue {tokens[1]!r}: saw {draft.scope} before"
+                    )
+            if alt_tokens is None:
+                continue
+            approved = approvals[j].get(alt_tokens)
+            if approved is None:
+                table = alt_index[j]
+                approved = 0
+                try:
+                    for a in alt_tokens:
+                        approved |= 1 << table[a]
+                except KeyError as missing:
+                    raise _unknown_alternative(ln, issues[j], missing.args[0]) from None
+                approvals[j][alt_tokens] = approved
+            statements = draft.statements
+            if premise in statements:
+                what = "premise" if scope else "approval"
+                warnings.warn(
+                    f"line {ln}: duplicate {what} for issue {tokens[1]!r} merged",
+                    FormatWarning,
+                    stacklevel=2,
+                )
+                approved |= statements[premise]
+            statements[premise] = approved
         else:
             raise ParseError(ln, "unexpected end of document, expected a ballot line or 'end'")
         # Approve-all unconditional ballots are the implicit default.
@@ -308,12 +289,21 @@ def parse_profile(text: str) -> Profile:
     return Profile(tuple(issues), tuple(voters))
 
 
-def _check_token(name: str) -> str:
+def _premise_name(name: str) -> bool:
+    """Whether an issue or alternative name can appear in a premise entry
+    ``<issue>=<alt>,...``; the parser and the serializer refuse any other."""
+    return "=" not in name and "," not in name
+
+
+def _check_name(name: str, in_premises: bool = True) -> str:
+    """The name, if the parser reads it back as written: one token without
+    '#' and, for an issue or alternative name, ``_premise_name``.  Keywords
+    are fine, as every line kind reads its tokens by position."""
     if (
         not name
+        or "#" in name
         or any(c.isspace() for c in name)
-        or any(c in name for c in "=,#")
-        or name in ("if", "then", "on")
+        or (in_premises and not _premise_name(name))
     ):
         raise ValueError(f"name {name!r} cannot be written to the text format")
     return name
@@ -323,11 +313,11 @@ def serialize_profile(profile: Profile) -> str:
     """Canonical document: issues, statements and approvals in index order."""
     out = ["cmsprofile 1", f"issues {profile.m}"]
     for issue in profile.issues:
-        parts = [_check_token(issue.name)] + [_check_token(a) for a in issue.alternatives]
+        parts = [_check_name(issue.name)] + [_check_name(a) for a in issue.alternatives]
         out.append("issue " + " ".join(parts))
     out.append(f"voters {profile.n}")
     for voter in profile.voters:
-        out.append("voter " + _check_token(voter.name))
+        out.append("voter " + _check_name(voter.name, in_premises=False))
         for j in sorted(voter.ballots):
             ballot = voter.ballots[j]
             issue = profile.issues[j]

@@ -21,6 +21,7 @@ from cmsvote import (
     gen_grid,
     gen_random,
     make_nice,
+    mincut,
     model,
     solve_brute,
     solve_mincut,
@@ -577,6 +578,49 @@ class TestChecks:
             match=f"component costs sum to {optimum + 1} but the merged outcome "
             f"re-evaluates to {optimum}",
         ):
+            solve_profile(profile)
+
+
+class TestMalformedBallots:
+    """Ballots built through the API that ``validate_profile`` flags are the
+    caller's error: a solve they break raises ValueError naming the voter
+    and the issue, not a kernel-bug InternalMismatch or a bare IndexError."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "ballot, where",
+        [
+            (issue_ballot(1, (0,), {(0, 1): [0]}), "[voter 1, issue 1] inconsistent-scope: "),
+            (issue_ballot(1, (0,), {(2,): [0]}), "[voter 1, issue 1] bad-premise: "),
+            (issue_ballot(1, (0,), {(1,): 0b110}), "[voter 1, issue 1] bad-alternative: "),
+            # a stray high bit keeps the profile group-dichotomous: MINCUT
+            (approve(0, 0b110), "[voter 1, issue 0] bad-alternative: "),
+        ],
+        ids=["premise-length", "premise-domain", "mask-bits", "mincut-mask-bits"],
+    )
+    def test_solve_names_the_ballot(self, method, ballot, where):
+        profile = make_profile(
+            [("A", ("0", "1")), ("B", ("0", "1"))],
+            [("w", [approve(0, [0]), issue_ballot(1, (0,), {(0,): [0]})]), ("v", [ballot])],
+        )
+        with pytest.raises(ValueError) as err:
+            solve_profile(profile, SolveConfig(method=method))
+        assert str(err.value).startswith(where)
+
+    def test_valid_profile_failures_pass_through(self, monkeypatch):
+        profile = make_profile(
+            [("A", ("0", "1")), ("B", ("0", "1"))],
+            [("w", [approve(0, [0]), issue_ballot(1, (0,), {(0,): [0]})]), ("v", [approve(0, [1])])],
+        )
+        assert [c.route for c in classify(profile).components] == ["MINCUT"]
+        original = mincut.max_flow_min_cut
+
+        def over(network):
+            flow, side = original(network)
+            return flow + 1, side
+
+        monkeypatch.setattr(mincut, "max_flow_min_cut", over)
+        with pytest.raises(InternalMismatch, match="cut promises cost 2 "):
             solve_profile(profile)
 
 

@@ -29,6 +29,8 @@ from cmsvote.textio import FormatWarning
 
 from helpers import P1_DOC, build_p1
 
+_COND_SYNTAX = "expected 'cond <target> if <issue>=<alt>,... then <alt>+'"
+
 
 def _split(rng, approved):
     """The approval set as one or two overlapping nonempty parts."""
@@ -71,6 +73,74 @@ def scrambled_document(profile, rng):
         rng.shuffle(body)
         lines += [f"voter {voter.name}"] + body + ["end"]
     return "\n".join(lines) + "\n"
+
+
+# Tokens the format gives a role to, and tokens it refuses in some places.
+_SPECIAL_TOKENS = (
+    "approve", "cond", "depends", "end", "voter", "issue",
+    "if", "then", "on", "=", ",", "=,", "#",
+)
+
+
+def mutated_document(text, rng):
+    """The document after one to three random edits: a token replaced,
+    dropped or added, a line dropped, copied or swapped, a voter renamed,
+    or a ballot line over the document's own names added before an 'end'.
+    New tokens come from the document itself, from ``_SPECIAL_TOKENS`` or
+    are premise entries over its declared issues."""
+    lines = [line.split() for line in text.splitlines()]
+    tokens = [token for line in lines for token in line]
+    issues = [line[1:] for line in lines if len(line) > 2 and line[0] == "issue"]
+
+    def premise():
+        entries = [rng.choice(issues) for _ in range(rng.randint(1, 2))]
+        return ",".join(f"{issue[0]}={rng.choice(issue[1:])}" for issue in entries)
+
+    def token():
+        r = rng.random()
+        if r < 0.5:
+            return rng.choice(tokens)
+        return rng.choice(_SPECIAL_TOKENS) if r < 0.8 else premise()
+
+    def ballot_line():
+        name, *alts = rng.choice(issues)
+        alts = rng.sample(alts, rng.randint(1, len(alts)))
+        kind = rng.choice(("approve", "cond", "depends"))
+        if kind == "approve":
+            return ["approve", name] + alts
+        if kind == "cond":
+            return ["cond", name, "if", premise(), "then"] + alts
+        members = [rng.choice(issues)[0] for _ in range(rng.randint(1, 2))]
+        return ["depends", name, "on"] + members
+
+    for _ in range(rng.randint(1, 3)):
+        if not lines or not issues:
+            break
+        at = rng.randrange(len(lines))
+        line = lines[at]
+        op = rng.randrange(8)
+        if op == 0 and line:
+            line[rng.randrange(len(line))] = token()
+        elif op == 1 and line:
+            del line[rng.randrange(len(line))]
+        elif op == 2:
+            line.insert(rng.randint(0, len(line)), token())
+        elif op == 3:
+            del lines[at]
+        elif op == 4:
+            lines.insert(rng.randint(0, len(lines)), list(line))
+        elif op == 5:
+            other = rng.randrange(len(lines))
+            lines[at], lines[other] = lines[other], line
+        elif op == 6:
+            voters = [row for row in lines if row[:1] == ["voter"]]
+            if voters:
+                rng.choice(voters)[1:] = [token()]
+        elif op == 7:
+            ends = [k for k, row in enumerate(lines) if row == ["end"]]
+            if ends:
+                lines.insert(rng.choice(ends), ballot_line())
+    return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
 class TestProfileParsing:
@@ -238,6 +308,114 @@ end
         assert err.value.line == line
         assert message in str(err.value)
 
+    @pytest.mark.parametrize(
+        "lines, outcome",
+        [
+            # approve lines: syntax, target, conflict, alternatives
+            (["approve C"], (8, "expected 'approve <issue> <alt>+'")),
+            (["approve Z"], (8, "expected 'approve <issue> <alt>+'")),
+            (["approve Z 0"], (8, "unknown issue 'Z'")),
+            (["approve C 0 7 8"], (8, "unknown alternative '7' for issue 'C'")),
+            (["cond C if A=0 then 0", "approve C 1"], (9, "issue 'C' already has conditional lines")),
+            (["depends C on A", "approve C 1"], (9, "issue 'C' already has conditional lines")),
+            (["cond C if A=0 then 0", "approve C 7"], (9, "issue 'C' already has conditional lines")),
+            # cond lines: syntax, target, premise, repeat/self, conflict, alternatives
+            (["cond C if A=0"], (8, _COND_SYNTAX)),
+            (["cond Z if"], (8, _COND_SYNTAX)),
+            (["cond C when A=0 then 0"], (8, _COND_SYNTAX)),
+            (["cond C if A=0 B=0 0"], (8, _COND_SYNTAX)),
+            (["cond Z if A=0 B=0 0"], (8, "unknown issue 'Z'")),
+            (["cond Z if A=0 then 0"], (8, "unknown issue 'Z'")),
+            (["cond C if then 0 1"], (8, "conditional lines need a premise and alternatives")),
+            (["cond C if A=0 B=0 then"], (8, "conditional lines need a premise and alternatives")),
+            (["cond C if A0 then 0"], (8, "malformed premise entry 'A0'")),
+            (["cond C if A=0=1 then 0"], (8, "malformed premise entry 'A=0=1'")),
+            (["cond C if A=0,,B=0 then 0"], (8, "malformed premise entry ''")),
+            (["cond C if A=0 ,=0 then 0"], (8, "unknown issue ''")),
+            (["cond C if A=0,Z=0 then 0"], (8, "unknown issue 'Z'")),
+            (["cond C if A=2 then 7"], (8, "unknown alternative '2' for issue 'A'")),
+            (["cond C if A=0,A=1 then 0"], (8, "premise repeats an issue")),
+            (["cond C if C=0,C=1 then 0"], (8, "premise repeats an issue")),
+            (["cond C if B=1,C=0 then 0"], (8, "self-premise: 'C' conditions on itself")),
+            (["approve C 1", "cond C if A=0 then 7"], (9, "issue 'C' already has an approval line")),
+            (
+                ["cond C if A=0 then 0", "cond C if B=0 then 0"],
+                (9, "inconsistent scope for issue 'C': saw (0,) before"),
+            ),
+            (
+                ["depends C on B A", "cond C if A=0 then 0"],
+                (9, "inconsistent scope for issue 'C': saw (0, 1) before"),
+            ),
+            (["cond C if A=0 then 0 7"], (8, "unknown alternative '7' for issue 'C'")),
+            # depends lines: syntax, target, members, repeat/self, conflict
+            (["depends C"], (8, "expected 'depends <target> on <issue>+'")),
+            (["depends C of A"], (8, "expected 'depends <target> on <issue>+'")),
+            (["depends Z on"], (8, "expected 'depends <target> on <issue>+'")),
+            (["depends Z on A"], (8, "unknown issue 'Z'")),
+            (["depends C on A Z"], (8, "unknown issue 'Z'")),
+            (["depends C on A B A"], (8, "premise repeats an issue")),
+            (["depends C on C C"], (8, "premise repeats an issue")),
+            (["depends C on B C"], (8, "self-premise: 'C' conditions on itself")),
+            (["approve C 1", "depends C on A"], (9, "issue 'C' already has an approval line")),
+            (
+                ["cond C if B=0,A=1 then 0", "depends C on B"],
+                (9, "inconsistent scope for issue 'C': saw (0, 1) before"),
+            ),
+            # end, other directives and the end of the document
+            (["end now"], (8, "'end' takes no arguments")),
+            (["frobnicate C 0"], (8, "unknown directive 'frobnicate'")),
+            (["approve C 0", "voter w"], (9, "unknown directive 'voter'")),
+            (["approve C 0"], (8, "unexpected end of document, expected a ballot line or 'end'")),
+            ([], (7, "unexpected end of document, expected a ballot line or 'end'")),
+            (["end", "voter w", "end"], (9, "unexpected content after the last voter block")),
+            # merges: the warnings' text and order
+            (
+                ["approve C 0", "depends A on B", "approve C 1", "approve C 0 1", "end"],
+                [
+                    "line 10: duplicate approval for issue 'C' merged",
+                    "line 11: duplicate approval for issue 'C' merged",
+                ],
+            ),
+            (
+                [
+                    "cond C if B=1,A=0 then 0",
+                    "depends C on A B",
+                    "cond C if A=0,B=1 then 1",
+                    "cond A if B=0 then 0",
+                    "cond C if A=0 , B=1 then 0",
+                    "cond A if B=0 then 0",
+                    "end",
+                ],
+                [
+                    "line 10: duplicate premise for issue 'C' merged",
+                    "line 12: duplicate premise for issue 'C' merged",
+                    "line 13: duplicate premise for issue 'A' merged",
+                ],
+            ),
+            (["approve A 0", "cond C if A=0 then 0", "depends B on C", "end"], []),
+        ],
+    )
+    def test_ballot_line_outcomes(self, lines, outcome):
+        # Every ballot-line error names its line and reason, checked in the
+        # order syntax, target, premise or members, repeat and self-premise,
+        # conflict, alternatives; merges warn in line order.
+        doc = "\n".join(
+            ["cmsprofile 1", "issues 3", "issue A 0 1", "issue B 0 1", "issue C 0 1",
+             "voters 1", "voter v"] + lines
+        ) + "\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if isinstance(outcome, tuple):
+                with pytest.raises(ParseError) as err:
+                    parse_profile(doc)
+                assert (err.value.line, err.value.reason) == outcome
+                assert not caught
+            else:
+                parse_profile(doc)
+                assert [(w.category, str(w.message)) for w in caught] == [
+                    (FormatWarning, message) for message in outcome
+                ]
+
     @pytest.mark.parametrize("seed", range(30))
     def test_ballots_are_built_canonical(self, seed):
         # The statements reach the parser shuffled, premise entries in random
@@ -381,6 +559,55 @@ class TestRoundTrip:
             seed=seed, group_dichotomous=gd,
         )
         assert parse_profile(serialize_profile(profile)) == profile
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accepted_mutants_roundtrip(self, seed):
+        # Whatever document parse_profile accepts, serialize_profile can
+        # write its profile, and that document parses back equal.
+        rng = random.Random(seed)
+        accepted = 0
+        for _ in range(150):
+            profile = gen_random(
+                rng.randint(2, 5), rng.randint(1, 4), d_max=3, delta_max=2,
+                statement_density=0.5, seed=rng.randrange(10**6),
+            )
+            text = mutated_document(scrambled_document(profile, rng), rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FormatWarning)
+                try:
+                    parsed = parse_profile(text)
+                except ParseError:
+                    continue
+            accepted += 1
+            assert parse_profile(serialize_profile(parsed)) == parsed, text
+        assert accepted >= 15
+
+    def test_one_name_rule_on_both_sides(self):
+        # Every line reads its tokens by position, so keywords are names like
+        # any other.  A premise entry cannot name an issue or alternative
+        # holding '=' or ',', so the parser refuses those on the issue line
+        # and the serializer refuses to write them; voter names may hold them.
+        profile = make_profile(
+            [("on", ("if", "then")), ("if", ("on", "end")), ("then", ("x", "y"))],
+            [
+                ("=,", [issue_ballot(0, (1, 2), {(0, 1): [1]}), approve(2, [1])]),
+                ("on", [issue_ballot(1, (0,), {}), approve(2, [0])]),
+                ("i0=0,i1=1", [issue_ballot(2, (0,), {(1,): [0]})]),
+            ],
+        )
+        text = serialize_profile(profile)
+        assert "cond on if if=on,then=y then then" in text
+        assert "depends if on on" in text
+        assert parse_profile(text) == profile
+        for line, name in [("issue A=0 0 1", "A=0"), ("issue A 0 1,2", "1,2"), ("issue A = 1", "=")]:
+            with pytest.raises(ParseError) as err:
+                parse_profile(P1_DOC.replace("issue A 0 1", line))
+            assert (err.value.line, err.value.reason) == (
+                3, f"issue and alternative names may not hold '=' or ',': {name!r}"
+            )
+        for issues in ([("A=0", ("0", "1"))], [("A", ("0", "1,2"))]):
+            with pytest.raises(ValueError, match="cannot be written"):
+                serialize_profile(make_profile(issues, [("v", [])]))
 
     def test_unserializable_name_rejected(self):
         profile = make_profile([("has space", ("0", "1"))], [("v", [])])
