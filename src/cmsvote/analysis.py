@@ -32,6 +32,11 @@ WIDTH_THRESHOLD = 8  # largest min-fill width routed to TREEWIDTH
 VC_REPORT_CAP = 12
 
 
+class _MalformedBallot(ValueError):
+    """A ballot ``classify`` cannot walk; the message names the voter and
+    the issue, so ``solve_profile`` passes it on as it is."""
+
+
 @dataclass(frozen=True)
 class UndirectedGraph:
     """Simple undirected graph over issue ids; edges are (min, max) pairs."""
@@ -97,12 +102,12 @@ class DichotomyWitness:
 class ComponentReport:
     """One connected component of the global dependency graph and its route.
 
-    ``edges`` (its global-graph edges) feed the min-fill run, capped at
-    ``WIDTH_THRESHOLD``, behind ``decomposition``; ``profile`` feeds ``brute_fits``.
+    ``route`` and the probes it may read (``decomposition`` over ``edges``,
+    ``brute_fits`` over ``profile``) are lazy attributes; ``classify`` reads
+    ``route``, so each component keeps the probes that decided its route.
     """
 
     issues: tuple
-    route: str
     all_binary: bool
     group_dichotomous: bool
     delta: int
@@ -111,12 +116,23 @@ class ComponentReport:
     profile: Profile = field(compare=False, repr=False)
 
     @lazy_attribute
+    def route(self) -> str:
+        """MAJORITY for an isolated issue, else the first of ``_routes`` (TREEWIDTH
+        only when ``decomposition`` is not None), else INTRACTABLE."""
+        if len(self.issues) == 1:
+            return MAJORITY
+        for route in _routes(self):
+            if route != TREEWIDTH or self.decomposition is not None:
+                return route
+        return INTRACTABLE
+
+    @lazy_attribute
     def decomposition(self) -> Optional[TreeDecomposition]:
         """Min-fill decomposition over sub-profile ids (issue ``issues[t]`` is
-        vertex ``t``), or None when its width exceeds ``WIDTH_THRESHOLD``.
-        ``classify`` fills it in where routing reads it, else first read does.
-        """
-        return _component_decomposition(self.issues, self.edges)
+        vertex ``t``), or None when its width exceeds ``WIDTH_THRESHOLD``."""
+        return heuristic_tree_decomposition(
+            _component_graph(self.issues, self.edges), WIDTH_THRESHOLD
+        )
 
     @lazy_attribute
     def heuristic_width(self) -> Optional[int]:
@@ -127,9 +143,23 @@ class ComponentReport:
 
     @lazy_attribute
     def brute_fits(self) -> bool:
-        """Whether ``solve_brute`` compiles, by ``_scan.check_entries``;
-        ``classify`` fills it in where routing reads it, else first read does."""
-        return _brute_fits(self.profile, self.issues, self.outcome_space)
+        """Whether ``solve_brute`` compiles, by ``_scan.check_entries``.  Each
+        ballot makes at most one factor table of at most ``outcome_space``
+        entries, and descending buckets hold at most twice that many, so only
+        a component past ``max(2, ballots) * outcome_space`` asks the
+        compiler."""
+        by_issue = self.profile.ballots_by_issue
+        issues = self.issues
+        ballots = sum(len(by_issue[j]) for j in issues)
+        if max(2, ballots) * self.outcome_space <= _scan.MAX_TABLE_ENTRIES:
+            return True
+        dom = self.profile.domain_sizes()
+        pairs = ((j, ballot) for j in issues for _, ballot in by_issue[j])
+        try:
+            _scan.check_entries(_scan.group_by_axes(pairs, dom), dom, reversed(issues))
+        except BudgetExceeded:
+            return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -654,23 +684,15 @@ def classify(profile: Profile) -> AnalysisReport:
     holds its own target, or that is filed under another issue than its
     target, raises ValueError naming the voter and the issue.
 
-    Routing order: isolated issues go to majority counting; all-binary
-    group-dichotomous components go to the min-cut solver; components whose
-    ballots condition on at most one issue and whose heuristic width is at
-    most ``WIDTH_THRESHOLD`` go to the tree decomposition solver; those whose
-    descending elimination passes the compiler's ``_scan.check_entries`` go
-    to brute force; everything else is flagged intractable.
-    ``applicable_routes`` is the same rule without the width bound.
-
-    Widths come from a width-capped min-fill run, so classification stays
-    fast on components whose width is far beyond the threshold; a None width
-    means "exceeds WIDTH_THRESHOLD".  Only components whose route depends on
-    the width (more than one issue, not MINCUT, delta <= 1) are probed here,
-    and each keeps its decomposition in ``ComponentReport.decomposition``,
-    the one the TREEWIDTH solver eliminates along; ``brute_fits`` is kept
-    likewise.  Every other decomposition, width and ``brute_fits``, and the
-    report's per-voter vertex covers, are left to their first read, so
-    routing never pays for them.
+    The routing rule lives in ``ComponentReport.route`` alone: an isolated
+    issue goes to majority counting, any other component to the first
+    solver of ``_routes`` (MINCUT, then TREEWIDTH if its min-fill run capped
+    at ``WIDTH_THRESHOLD`` finishes, then BRUTE), and one with none is
+    INTRACTABLE.  ``classify`` gathers each component's facts and reads its
+    ``route``, so routing's probes run here, and each component keeps the
+    decomposition the TREEWIDTH solver eliminates along.  Every probe
+    routing does not read, and the per-voter vertex covers, wait for their
+    first read.
     """
     m = profile.m
     dom = profile.domain_sizes()
@@ -685,9 +707,9 @@ def classify(profile: Profile) -> AnalysisReport:
     for i, voter in enumerate(profile.voters):
         for j, ballot in voter.ballots.items():
             if not 0 <= j < m:
-                raise ValueError(f"voter {i}, issue {j}: ballot targets an unknown issue")
+                raise _MalformedBallot(f"voter {i}, issue {j}: ballot targets an unknown issue")
             if ballot.issue != j:
-                raise ValueError(
+                raise _MalformedBallot(
                     f"voter {i}, issue {j}: ballot filed under issue {j} "
                     f"targets issue {ballot.issue}"
                 )
@@ -696,7 +718,7 @@ def classify(profile: Profile) -> AnalysisReport:
                 continue
             for k in scope:
                 if k == j or not 0 <= k < m:
-                    raise ValueError(
+                    raise _MalformedBallot(
                         f"voter {i}, issue {j}: premise scope {scope} holds "
                         + ("the target issue" if k == j else f"unknown issue {k}")
                     )
@@ -734,25 +756,10 @@ def classify(profile: Profile) -> AnalysisReport:
                 if not seen[k]:
                     seen[k] = True
                     issues.append(k)
-        issues = tuple(sorted(issues))
-        edges = frozenset(edges)
-        probed = len(issues) > 1 and not (binary and gd) and delta <= 1
-        decomposition = _component_decomposition(issues, edges) if probed else None
-        if len(issues) == 1:
-            route = MAJORITY
-        elif binary and gd:
-            route = MINCUT
-        elif decomposition is not None:
-            route = TREEWIDTH
-        elif _brute_fits(profile, issues, space):
-            route = BRUTE
-        else:
-            route = INTRACTABLE
-        comp = ComponentReport(issues, route, binary, gd, delta, space, edges, profile)
-        if probed:
-            vars(comp)["decomposition"] = decomposition  # the lazy attribute's slot
-        if route in (BRUTE, INTRACTABLE):
-            vars(comp)["brute_fits"] = route == BRUTE
+        comp = ComponentReport(
+            tuple(sorted(issues)), binary, gd, delta, space, frozenset(edges), profile
+        )
+        comp.route  # route now, so that routing's probes run inside classify
         comps.append(comp)
 
     return AnalysisReport(
@@ -766,43 +773,23 @@ def classify(profile: Profile) -> AnalysisReport:
 
 
 def applicable_routes(comp: ComponentReport) -> list:
-    """The solvers a forced method or cross-validation may run on a component.
+    """The solvers a forced method or cross-validation may run: ``_routes``,
+    without the width bound, as a TREEWIDTH solve is exact along any
+    decomposition and builds an uncapped one where the capped run gave up."""
+    return list(_routes(comp))
 
-    This is the rule of ``classify`` without its width bound: a TREEWIDTH
-    solve is exact along any decomposition, and one whose capped min-fill
-    run gave up builds an uncapped one.  Only at delta <= 1 does the global
-    graph's width bound its tables.  BRUTE applies iff ``brute_fits``.
-    """
-    routes = []
+
+def _routes(comp: ComponentReport):
+    """The solvers that apply to ``comp``, in routing order: MINCUT if it is
+    all-binary and group-dichotomous, TREEWIDTH if delta <= 1 (only then does
+    the global graph's width bound the tables), BRUTE if ``brute_fits``,
+    which a generator reads only once MINCUT and TREEWIDTH are passed over."""
     if comp.all_binary and comp.group_dichotomous:
-        routes.append(MINCUT)
+        yield MINCUT
     if comp.delta <= 1:
-        routes.append(TREEWIDTH)
+        yield TREEWIDTH
     if comp.brute_fits:
-        routes.append(BRUTE)
-    return routes
-
-
-def _brute_fits(profile: Profile, issues, outcome_space: int) -> bool:
-    """``brute_fits`` of the component on the ascending ``issues``.  Each
-    ballot makes at most one factor table of at most ``outcome_space``
-    entries, and descending buckets hold at most twice that many, so only a
-    component past ``max(2, ballots) * outcome_space`` asks the compiler."""
-    by_issue = profile.ballots_by_issue
-    ballots = sum(len(by_issue[j]) for j in issues)
-    if max(2, ballots) * outcome_space <= _scan.MAX_TABLE_ENTRIES:
-        return True
-    dom = profile.domain_sizes()
-    pairs = ((j, ballot) for j in issues for _, ballot in by_issue[j])
-    try:
-        _scan.check_entries(_scan.group_by_axes(pairs, dom), dom, reversed(issues))
-    except BudgetExceeded:
-        return False
-    return True
-
-
-def _component_decomposition(issues, edges):
-    return heuristic_tree_decomposition(_component_graph(issues, edges), WIDTH_THRESHOLD)
+        yield BRUTE
 
 
 def _component_graph(issues, edges) -> UndirectedGraph:

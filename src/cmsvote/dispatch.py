@@ -1,13 +1,13 @@
 """Job-wise solving: classify, list the jobs, solve them in one loop, merge.
 
 The objective is additive over the connected components of the global
-dependency graph.  ``classify`` picks each component's route, and
-``applicable_routes`` lists the solvers a forced method or cross-validation
-may run; the routing rule lives in ``analysis`` alone.  A job is a route
-and the components it solves at once.  Each route gets one job, in the
-routes' order of first use, except that each isolated issue (``MAJORITY``)
-is a job of its own, decided by one ``majority_alternative`` call; under
-cross-validation each component is a job.  Any other job gets one
+dependency graph.  The routing rule lives in ``analysis`` alone:
+``ComponentReport.route`` is a component's route, and ``applicable_routes``
+lists the solvers a forced method or cross-validation may run.  A job is a
+route and the components it solves at once.  Each route is one job, in the
+routes' order of first use; under cross-validation each component is a
+job.  The ``MAJORITY`` job makes one ``majority_alternative`` call per
+isolated issue and adds up their costs.  Any other job gets one
 sub-profile over the ascending union of its components' issues and one
 solver call.  The components share no ballot, so each gets the outcome it
 would get alone:
@@ -46,10 +46,10 @@ from .analysis import (
     INTRACTABLE,
     MAJORITY,
     MINCUT,
-    TREEWIDTH,
     AnalysisReport,
     TreeDecomposition,
     _component_graph,
+    _MalformedBallot,
     applicable_routes,
     classify,
     heuristic_tree_decomposition,
@@ -170,7 +170,7 @@ def _union_decomposition(comps, issues) -> TreeDecomposition:
 
 
 def _route_override(comp, method: str, report: AnalysisReport) -> str:
-    route = {"brute": BRUTE, "mincut": MINCUT, "treewidth": TREEWIDTH}[method]
+    route = method.upper()
     if route not in applicable_routes(comp):
         raise Intractable(report)
     return route
@@ -182,15 +182,18 @@ def solve_profile(profile: Profile, config: SolveConfig = SolveConfig()) -> Solu
 
     A profile built through the API may hold ballots that ``validate_profile``
     flags, such as a premise of the wrong length or out of its domain, or a
-    mask with bits past its target's domain.  They can make a compiler index
-    out of bounds, a solver's re-verification disagree or a forced route
-    inapplicable.  So when a solve fails that way, the profile is validated,
-    on that path only, and its first violation is raised as ValueError; a
-    valid profile's failure is raised as it is.
+    mask that is not an int or has bits past its target's domain.  They can
+    break a solve anywhere, from a kernel's mask conversion to a forced
+    route.  So when a solve fails with any error but a MemoryError or
+    ``classify``'s own ValueError, which names the ballot already, the
+    profile is validated, on that path only, and its first violation is
+    raised as ValueError; a valid profile's failure is raised as it is.
     """
     try:
         return _solve_jobs(profile, config)
-    except (InternalMismatch, Intractable, IndexError) as exc:
+    except (_MalformedBallot, MemoryError):
+        raise
+    except Exception as exc:
         problems = validate_profile(profile)
         if problems:
             raise ValueError(str(problems[0])) from exc
@@ -213,11 +216,7 @@ def _solve_jobs(profile: Profile, config: SolveConfig) -> Solution:
         if config.cross_validate:
             jobs.append((route, (comp,)))
     if not config.cross_validate:
-        for route, comps in groups.items():
-            if route == MAJORITY:
-                jobs += [(route, (comp,)) for comp in comps]
-            else:
-                jobs.append((route, comps))
+        jobs = list(groups.items())
     jobs.reverse()  # a stack: the next job is popped off the end
 
     assignment = {}
@@ -226,8 +225,11 @@ def _solve_jobs(profile: Profile, config: SolveConfig) -> Solution:
         route, comps = jobs.pop()
         sub = None
         if route == MAJORITY:
-            (issue,) = comps[0].issues
-            assignment[issue], cost = majority_alternative(profile, issue)
+            cost = 0
+            for comp in comps:
+                (issue,) = comp.issues
+                assignment[issue], issue_cost = majority_alternative(profile, issue)
+                cost += issue_cost
         else:
             issues = sorted(j for comp in comps for j in comp.issues)
             sub = restrict_profile(profile, issues)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,10 @@ from cmsvote import (
     verify_decomposition,
     vertex_cover_number,
 )
-from cmsvote import analysis
+from cmsvote import _scan, analysis
 from cmsvote.analysis import (
+    BRUTE,
+    INTRACTABLE,
     MAJORITY,
     MINCUT,
     TREEWIDTH,
@@ -33,7 +36,9 @@ from cmsvote.analysis import (
     WIDTH_THRESHOLD,
     TreeDecomposition,
     UndirectedGraph,
+    applicable_routes,
 )
+from cmsvote.errors import BudgetExceeded
 from cmsvote.model import Issue, Profile, Voter, approve, issue_ballot, make_profile
 
 from helpers import (
@@ -42,6 +47,7 @@ from helpers import (
     exhaustive_vertex_cover,
     largest_premise_scope,
     naive_min_fill,
+    naive_restrict_profile,
     naive_verify_decomposition,
     naive_vertex_cover_number,
     plain_decomposition,
@@ -620,6 +626,67 @@ class TestClassify:
                     other_parts += 1
         assert deltas == {0, 1, 2, 3}
         assert isolated and gd_parts and other_parts
+
+    def test_routes_match_a_reference(self, monkeypatch):
+        # The routing rule restated from each component's own sub-profile:
+        # an isolated issue is MAJORITY; any other component takes the first
+        # of MINCUT (all binary, group-dichotomous), TREEWIDTH (delta <= 1
+        # and a capped min-fill run that finishes) and BRUTE (the descending
+        # order passes check_entries), else INTRACTABLE.  applicable_routes
+        # is the same list without the width bound.  600 seeded profiles,
+        # delta 0-3, every third group-dichotomous; every fourth seed lowers
+        # WIDTH_THRESHOLD so that width decides more routes.
+        def descending_fits(sub):
+            dom = sub.domain_sizes()
+            pairs = [(b.issue, b) for v in sub.voters for b in v.ballots.values()]
+            axes = _scan.group_by_axes(pairs, dom)
+            try:
+                _scan.check_entries(axes, dom, range(sub.m - 1, -1, -1))
+            except BudgetExceeded:
+                return False
+            return True
+
+        routes = Counter()
+        too_wide = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            profile = gen_random(
+                rng.randint(4, 40),
+                rng.randint(1, 8),
+                d_max=rng.randint(2, 4),
+                delta_max=seed % 4,
+                statement_density=rng.choice([0.05, 0.15, 0.3, 0.5]),
+                seed=seed,
+                group_dichotomous=seed % 3 == 0,
+            )
+            threshold = rng.choice([1, 2, 3]) if seed % 4 == 1 else WIDTH_THRESHOLD
+            monkeypatch.setattr(analysis, "WIDTH_THRESHOLD", threshold)
+            for comp in classify(profile).components:
+                sub = naive_restrict_profile(profile, comp.issues)
+                applicable = []
+                if set(sub.domain_sizes()) == {2} and is_group_dichotomous(sub)[0]:
+                    applicable.append(MINCUT)
+                if largest_premise_scope(sub) <= 1:
+                    applicable.append(TREEWIDTH)
+                if descending_fits(sub):
+                    applicable.append(BRUTE)
+                assert applicable_routes(comp) == applicable, (seed, comp.issues)
+
+                narrow = (
+                    heuristic_tree_decomposition(build_global_graph(sub), threshold)
+                    is not None
+                )
+                if sub.m == 1:
+                    expected = MAJORITY
+                else:
+                    expected = next(
+                        (r for r in applicable if r != TREEWIDTH or narrow), INTRACTABLE
+                    )
+                    too_wide += applicable[:1] == [TREEWIDTH] and not narrow
+                assert comp.route == expected, (seed, comp.issues)
+                routes[expected] += 1
+        assert set(routes) == {MAJORITY, MINCUT, TREEWIDTH, BRUTE, INTRACTABLE}, routes
+        assert too_wide, routes
 
     @pytest.mark.parametrize(
         "ballot, problem",

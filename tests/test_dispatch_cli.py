@@ -595,8 +595,26 @@ class TestMalformedBallots:
             (issue_ballot(1, (0,), {(1,): 0b110}), "[voter 1, issue 1] bad-alternative: "),
             # a stray high bit keeps the profile group-dichotomous: MINCUT
             (approve(0, 0b110), "[voter 1, issue 0] bad-alternative: "),
+            # masks no kernel can read: negative, too wide for a byte, no int
+            (IssueBallot(1, (0,), {(0,): -1}), "[voter 1, issue 1] bad-alternative: "),
+            (IssueBallot(1, (0,), {(0,): 1 << 9}), "[voter 1, issue 1] bad-alternative: "),
+            (
+                IssueBallot(1, (0,), {(0,): frozenset({1})}),
+                "[voter 1, issue 1] bad-alternative: ",
+            ),
+            # an unconditional ballot whose statement sits under a premise
+            (IssueBallot(0, (), {(0,): 1}), "[voter 1, issue 0] inconsistent-scope: "),
         ],
-        ids=["premise-length", "premise-domain", "mask-bits", "mincut-mask-bits"],
+        ids=[
+            "premise-length",
+            "premise-domain",
+            "mask-bits",
+            "mincut-mask-bits",
+            "negative-mask",
+            "wide-mask",
+            "set-mask",
+            "keyed-unconditional",
+        ],
     )
     def test_solve_names_the_ballot(self, method, ballot, where):
         profile = make_profile(
